@@ -8,8 +8,8 @@
 /// flat-to-growing (both are near-linear in routed area; the expanded
 /// graph pays ~3x nodes x 4 arrival arcs per relaxation).
 ///
-/// Two PR-10 columns ride along: `shard(s)` routes the same case through
-/// core::ShardedRouter (tiles=4, threads=2) — its solution must byte-match
+/// Two columns ride along: `shard(s)` routes the same case through the
+/// tile walk (shard_tiles=4, rrr_threads=2) — its solution must byte-match
 /// the serial Mr.TPL run, making every sweep a scaling regression — and
 /// `rss(MB)` samples getrusage peak RSS after each row so the "K tile
 /// views cost O(die), not K x O(die)" claim is measured, not asserted.
@@ -20,7 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/sharded_router.hpp"
+#include "core/mrtpl_router.hpp"
 #include "eval/report.hpp"
 #include "flow.hpp"
 #include "io/solution_io.hpp"
@@ -39,7 +39,7 @@ mrtpl::bench::FlowResult run_sharded(const mrtpl::bench::CaseContext& ctx,
   config.rrr_threads = 2;
   grid::RoutingGrid grid(ctx.design);
   util::Timer timer;
-  core::ShardedRouter router(ctx.design, &ctx.guides, config);
+  core::MrTplRouter router(ctx.design, &ctx.guides, config);
   const grid::Solution sol = router.run(grid);
   bench::FlowResult r;
   r.runtime_s = timer.elapsed_s();

@@ -107,7 +107,7 @@ struct CompareRun {
 };
 
 int run_compare(const char* thresholds_path) {
-  // The bench_rrr_parallel die-112 recipe: the largest standard case.
+  // The bench_scaling die-112 recipe: the largest standard case.
   benchgen::CaseSpec spec;
   spec.name = "rrr112";
   spec.width = spec.height = 112;

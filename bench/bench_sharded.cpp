@@ -1,16 +1,24 @@
 /// \file bench_sharded.cpp
 /// Production-scale sharded-routing bench: routes a registered production
-/// scenario through core::ShardedRouter and emits ONE JSON OBJECT PER
-/// LINE on stdout (append to BENCH_sharded.json), recording wall time,
-/// peak RSS, and an FNV-1a hash of the serialized solution. The hash is
-/// the determinism contract in portable form — every (tiles, threads)
-/// configuration of the same scenario must print the same hash.
+/// scenario through MrTplRouter's tile walk (RouterConfig::shard_tiles,
+/// rrr_threads) and emits ONE JSON OBJECT PER LINE on stdout (append to
+/// BENCH_sharded.json), recording wall time, peak RSS, the host (nproc,
+/// build type — a 1-core figure is not a parallel result), and an FNV-1a
+/// hash of the serialized solution. The hash is the determinism contract
+/// in portable form — every (tiles, threads) configuration of the same
+/// scenario must print the same hash. tiles=1 or threads=1 routes
+/// serially (speculated 0).
 ///
-///   {"bench":"sharded","scenario":"production_grid_10k","die":768,
-///    "nets":10000,"tiles":16,"grid_dim":4,"threads":8,"gen_s":..,
-///    "gr_s":..,"route_s":..,"total_s":..,"peak_rss_mb":..,
-///    "speculated":..,"respeculated":..,"conflicts":0,"failed":0,
-///    "wirelength":..,"hash":"f00..."}
+///   {"bench":"sharded","scenario":"production_grid_10k","die":960,
+///    "nets":10000,"tiles":16,"grid_dim":4,"threads":8,"nproc":4,
+///    "build":"Release","gen_s":..,"gr_s":..,"route_s":..,"total_s":..,
+///    "peak_rss_mb":..,"speculated":..,"respeculated":..,
+///    "relaxations":..,"conflicts":0,"failed":0,"wirelength":..,
+///    "hash":"f00..."}
+///
+/// Every config also checks the applied-work ledger: the per-pass
+/// relaxation counts must sum to stats.relaxations, else the driver
+/// aborts (the executor lost or double-counted search work).
 ///
 /// Two modes:
 ///   * Matrix mode (default / --quick): sweeps tiles {1,4,16} x threads
@@ -32,16 +40,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchgen/generator.hpp"
-#include "core/sharded_router.hpp"
+#include "core/mrtpl_router.hpp"
 #include "eval/metrics.hpp"
 #include "global/global_router.hpp"
 #include "grid/routing_grid.hpp"
 #include "io/solution_io.hpp"
 #include "scenario/scenario.hpp"
+#include "shard/tile_plan.hpp"
 #include "util/resource.hpp"
 #include "util/timer.hpp"
 
@@ -78,11 +89,22 @@ BenchRun run_config(const mrtpl::db::Design& design,
   config.rrr_threads = threads;
   grid::RoutingGrid grid(design);
   util::Timer route;
-  core::ShardedRouter router(design, &guides, config);
+  core::MrTplRouter router(design, &guides, config);
   const grid::Solution sol = router.run(grid);
   r.route_s = route.elapsed_s();
-  r.grid_dim = router.plan().grid_dim();
+  r.grid_dim = shard::TilePlan(design.die(), tiles).grid_dim();
   r.stats = router.stats();
+  const auto ledger =
+      std::accumulate(r.stats.relaxations_per_pass.begin(),
+                      r.stats.relaxations_per_pass.end(), std::uint64_t{0});
+  if (ledger != r.stats.relaxations) {
+    std::fprintf(stderr,
+                 "[sharded] FATAL: tiles=%d threads=%d relaxations_per_pass "
+                 "sums to %llu but stats.relaxations is %llu\n",
+                 tiles, threads, static_cast<unsigned long long>(ledger),
+                 static_cast<unsigned long long>(r.stats.relaxations));
+    std::abort();
+  }
   r.metrics = eval::evaluate(grid, sol, &guides);
   r.serialized = io::solution_to_string(grid, sol);
   r.hash = fnv1a(r.serialized);
@@ -95,14 +117,16 @@ void emit_json(const std::string& scenario, const mrtpl::db::Design& design,
                const BenchRun& r) {
   std::printf(
       "{\"bench\":\"sharded\",\"scenario\":\"%s\",\"die\":%d,\"nets\":%d,"
-      "\"tiles\":%d,\"grid_dim\":%d,\"threads\":%d,\"gen_s\":%.3f,"
-      "\"gr_s\":%.3f,\"route_s\":%.3f,\"total_s\":%.3f,"
-      "\"peak_rss_mb\":%.1f,\"speculated\":%d,\"respeculated\":%d,"
-      "\"conflicts\":%d,\"failed\":%d,\"wirelength\":%lld,"
-      "\"hash\":\"%016" PRIx64 "\"}\n",
+      "\"tiles\":%d,\"grid_dim\":%d,\"threads\":%d,\"nproc\":%u,"
+      "\"build\":\"%s\",\"gen_s\":%.3f,\"gr_s\":%.3f,\"route_s\":%.3f,"
+      "\"total_s\":%.3f,\"peak_rss_mb\":%.1f,\"speculated\":%d,"
+      "\"respeculated\":%d,\"relaxations\":%llu,\"conflicts\":%d,"
+      "\"failed\":%d,\"wirelength\":%lld,\"hash\":\"%016" PRIx64 "\"}\n",
       scenario.c_str(), design.die().width(), design.num_nets(), tiles,
-      r.grid_dim, threads, gen_s, gr_s, r.route_s, gen_s + gr_s + r.total_s,
+      r.grid_dim, threads, std::thread::hardware_concurrency(), MRTPL_BUILD_TYPE,
+      gen_s, gr_s, r.route_s, gen_s + gr_s + r.total_s,
       mrtpl::util::peak_rss_mb(), r.stats.speculated, r.stats.respeculated,
+      static_cast<unsigned long long>(r.stats.relaxations),
       r.metrics.conflicts, r.metrics.failed_nets,
       static_cast<long long>(r.metrics.wirelength), r.hash);
   std::fflush(stdout);

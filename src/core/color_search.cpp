@@ -315,8 +315,8 @@ grid::VertexId ColorSearch::search() {
         // ---- per-mask color cost (Algorithm 2 lines 9–16) -------------
         // This is the one read that reaches BEYOND the labeled vertex —
         // a Dcolor-window scan (or its precomputed equivalent) — so it is
-        // tracked in its own, usually much smaller, bbox: the speculative
-        // executor validates the TPL footprint against a Dcolor halo and
+        // tracked in its own, usually much smaller, bbox: the tile walk
+        // validates the TPL footprint against a Dcolor halo and
         // everything else against a 1-halo instead of inflating the whole
         // labeled bbox by max(dcolor, 1).
         touch_tpl(tx, ty);

@@ -37,7 +37,7 @@ class ColorSearch {
   /// Standalone construction: the search owns a private SearchArena.
   ColorSearch(const grid::RoutingGrid& grid, RouterConfig config);
   /// Construction over a caller-owned arena (one per ThreadPool worker in
-  /// the batched executor). The arena must outlive the search; two
+  /// the tile walk). The arena must outlive the search; two
   /// searches may share an arena only if never used concurrently.
   ColorSearch(const grid::RoutingGrid& grid, RouterConfig config,
               SearchArena& arena);
@@ -102,7 +102,7 @@ class ColorSearch {
   /// begin_net. Owner/blocked/history reads stay within this box inflated
   /// by 1 (and within the window); only the TPL congestion reads — tracked
   /// separately below — reach a full Dcolor beyond their vertices. The
-  /// speculative batch executor validates commits against the pair.
+  /// tile walk validates commits against the pair.
   [[nodiscard]] bool anything_touched() const { return arena_->any_touched; }
   [[nodiscard]] geom::Rect touched_bbox() const { return arena_->touched_bbox; }
 

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <numeric>
+#include <optional>
 
-#include "core/batch_schedule.hpp"
 #include "core/conflict_index.hpp"
+#include "geom/spatial_grid.hpp"
+#include "grid/grid_view.hpp"
+#include "shard/tile_plan.hpp"
 #include "util/fault_injector.hpp"
 #include "util/logger.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace mrtpl::core {
@@ -181,19 +184,7 @@ MrTplRouter::RouteOutcome MrTplRouter::compute_route(const grid::RoutingGrid& gr
                                          net.name.c_str(), remaining));
         route.disposition = grid::NetDisposition::kFailed;
       }
-      outcome.relaxations = search.relaxations();
-      route.routed = false;
-      // Keep the partial tree: choose colors for what exists so the
-      // layout stays consistent for other nets once committed.
-      choose_colors(grid, pool, net_id, route, outcome.colors);
-      outcome.has_read_near = search.anything_touched();
-      if (outcome.has_read_near)
-        outcome.read_near =
-            search.touched_bbox().inflated(1).intersected(search.window());
-      outcome.has_read_tpl = search.anything_tpl_touched();
-      if (outcome.has_read_tpl)
-        outcome.read_tpl = search.tpl_touched_bbox().inflated(grid.dcolor());
-      return outcome;
+      break;
     }
     const int pin = search.target_pin(dst);
     assert(pin >= 0 && !reached[static_cast<size_t>(pin)]);
@@ -220,25 +211,30 @@ MrTplRouter::RouteOutcome MrTplRouter::compute_route(const grid::RoutingGrid& gr
     route.paths.push_back(std::move(path));
     --remaining;
   }
-  // Pin 0's metal belongs to the tree as well. The first backtrace ended
-  // on one of pin 0's vertices (the initial sources), which therefore
-  // already carries a verSet; attach the rest of the pin's metal to it so
-  // the whole pin receives a mask consistent with the wire leaving it.
-  VerSetId pin0_vs = kNoVerSet;
-  for (const grid::VertexId v : pin_verts[0])
-    if (pool.verset_of(v) != kNoVerSet) {
-      pin0_vs = pool.verset_of(v);
-      break;
+  if (remaining == 0) {
+    // Pin 0's metal belongs to the tree as well. The first backtrace ended
+    // on one of pin 0's vertices (the initial sources), which therefore
+    // already carries a verSet; attach the rest of the pin's metal to it
+    // so the whole pin receives a mask consistent with the wire leaving it.
+    VerSetId pin0_vs = kNoVerSet;
+    for (const grid::VertexId v : pin_verts[0])
+      if (pool.verset_of(v) != kNoVerSet) {
+        pin0_vs = pool.verset_of(v);
+        break;
+      }
+    if (pin0_vs == kNoVerSet) pin0_vs = pool.make_verset(universe);
+    for (const grid::VertexId v : pin_verts[0]) {
+      if (pool.verset_of(v) == kNoVerSet) pool.attach(v, pin0_vs);
+      route.paths.push_back({v});
     }
-  if (pin0_vs == kNoVerSet) pin0_vs = pool.make_verset(universe);
-  for (const grid::VertexId v : pin_verts[0]) {
-    if (pool.verset_of(v) == kNoVerSet) pool.attach(v, pin0_vs);
-    route.paths.push_back({v});
+    route.routed = true;
+    route.disposition = grid::NetDisposition::kRouted;
   }
 
+  // A net that stopped short keeps its partial tree: colors are chosen for
+  // what exists so the layout stays consistent for other nets once
+  // committed.
   outcome.relaxations = search.relaxations();
-  route.routed = true;
-  route.disposition = grid::NetDisposition::kRouted;
   choose_colors(grid, pool, net_id, route, outcome.colors);
   outcome.has_read_near = search.anything_touched();
   if (outcome.has_read_near)
@@ -379,12 +375,43 @@ void MrTplRouter::choose_colors(
 
 namespace {
 
+/// Iterate quality used to pick the best snapshot: conflicts are printing
+/// failures and dominate, then stitches (yield), then a routability tax.
+/// Ties in violations resolve toward the earlier (less detoured) iterate
+/// because replacement below is strict.
+double iterate_score(int conflicts, int stitches, int failed) {
+  return 1e6 * failed + 1e4 * conflicts + 1e2 * stitches;
+}
+
+/// Budget skip: the net commits nothing and reports kSkipped.
+void mark_skipped(grid::Solution& solution, db::NetId id) {
+  grid::NetRoute& r = solution.routes[static_cast<size_t>(id)];
+  r = grid::NetRoute{};
+  r.net = id;
+  r.disposition = grid::NetDisposition::kSkipped;
+}
+
+/// Bounding box of the vertices a commit list writes; empty list, no box.
+std::optional<geom::Rect> colors_bbox(
+    const grid::RoutingGrid& grid,
+    const std::vector<std::pair<grid::VertexId, grid::Mask>>& colors) {
+  std::optional<geom::Rect> box;
+  for (const auto& [v, m] : colors) {
+    const grid::VertexLoc l = grid.loc(v);
+    const geom::Rect point{l.x, l.y, l.x, l.y};
+    box = box ? box->united(point) : point;
+  }
+  return box;
+}
+
+}  // namespace
+
 /// A restorable copy of the committed layout: per-net routes plus the mask
 /// of every routed vertex. Negotiated RRR is not monotonic — on heavily
 /// congested cases history-cost detours can make a later iteration worse
 /// than an earlier one — so the driver keeps the best iterate and restores
 /// it at the end instead of returning whatever the last iteration left.
-struct LayoutSnapshot {
+struct MrTplRouter::LayoutSnapshot {
   grid::Solution solution;
   std::vector<std::vector<grid::Mask>> masks;  ///< parallel to routes[i].vertices()
   double score = std::numeric_limits<double>::infinity();
@@ -415,46 +442,38 @@ struct LayoutSnapshot {
   }
 };
 
-/// Iterate quality used to pick the best snapshot: conflicts are printing
-/// failures and dominate, then stitches (yield), then a routability tax.
-/// Ties in violations resolve toward the earlier (less detoured) iterate
-/// because replacement below is strict.
-double iterate_score(int conflicts, int stitches, int failed) {
-  return 1e6 * failed + 1e4 * conflicts + 1e2 * stitches;
-}
+struct MrTplRouter::Workers {
+  Workers(const grid::RoutingGrid& grid, const RouterConfig& config,
+          const BudgetTracker* budget)
+      : pool(config.rrr_threads) {
+    for (int i = 0; i < pool.size(); ++i) {
+      arenas.push_back(std::make_unique<SearchArena>());
+      searches.push_back(std::make_unique<ColorSearch>(grid, config, *arenas.back()));
+      if (budget != nullptr) searches.back()->set_budget(budget);
+    }
+  }
 
-}  // namespace
+  util::ThreadPool pool;
+  // Arenas are declared before the searches that borrow them so they
+  // outlive them; a worker's tile views borrow its arena too.
+  std::vector<std::unique_ptr<SearchArena>> arenas;
+  std::vector<std::unique_ptr<ColorSearch>> searches;
+};
 
 void MrTplRouter::route_list(grid::RoutingGrid& grid, ColorSearch& search,
-                             util::ThreadPool* pool,
-                             std::vector<std::unique_ptr<SearchArena>>& worker_arenas,
-                             std::vector<std::unique_ptr<ColorSearch>>& worker_searches,
-                             const std::vector<db::NetId>& nets,
+                             Workers* workers, const std::vector<db::NetId>& nets,
                              grid::Solution& solution) {
-  // Tile-sharded execution (sharded_router.cpp) replaces the flat
-  // speculative pass when configured; serial and single-net passes below
-  // are already exact and stay here.
-  if (pool != nullptr && nets.size() > 1 && config_.shard_tiles > 1) {
-    route_list_sharded(grid, search, pool, worker_arenas, worker_searches,
-                       nets, solution);
-    return;
-  }
   util::Timer timer;
   const std::uint64_t pass_relax_base = stats_.relaxations;
-  // Budget skip: once the budget expires mid-pass, the remaining nets are
-  // marked kSkipped without committing anything. The decision reads the
-  // *applied* ledger on this thread, so for relaxation budgets it falls on
-  // the same net for every thread count.
-  auto mark_skipped = [&](db::NetId id) {
-    grid::NetRoute& r = solution.routes[static_cast<size_t>(id)];
-    r = grid::NetRoute{};
-    r.net = id;
-    r.disposition = grid::NetDisposition::kSkipped;
-  };
-  if (pool == nullptr || nets.size() <= 1) {
+  // A budget already expired at pass start skips every net; the serial
+  // branch does that without paying for a parallel dispatch.
+  if (workers != nullptr && nets.size() > 1 &&
+      !(budget_.active() && budget_.expired(stats_.relaxations))) {
+    route_tiles(grid, search, *workers, nets, solution);
+  } else {
     for (const db::NetId id : nets) {
       if (budget_.active() && budget_.expired(stats_.relaxations)) {
-        mark_skipped(id);
+        mark_skipped(solution, id);
         continue;
       }
       RouteOutcome outcome = compute_route_guarded(grid, search, id);
@@ -462,245 +481,190 @@ void MrTplRouter::route_list(grid::RoutingGrid& grid, ColorSearch& search,
       set_last_colors(outcome);
       solution.routes[static_cast<size_t>(id)] = std::move(outcome.route);
     }
-    if (!nets.empty()) {
-      stats_.route_batches += 1;
-      stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
-    }
-    stats_.reroute_s += timer.elapsed_s();
-    return;
   }
-
-  // Already expired at pass start: skip the whole pass without paying for
-  // a speculative dispatch. Mirrors what the serial loop above does
-  // (every per-net check fires), so the pass accounting stays identical.
-  if (budget_.active() && budget_.expired(stats_.relaxations)) {
-    for (const db::NetId id : nets) mark_skipped(id);
+  if (!nets.empty()) {
     stats_.route_batches += 1;
-    stats_.relaxations_per_pass.push_back(0);
-    stats_.reroute_s += timer.elapsed_s();
-    return;
+    stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
+  }
+  stats_.reroute_s += timer.elapsed_s();
+}
+
+void MrTplRouter::route_tiles(grid::RoutingGrid& grid, ColorSearch& search,
+                              Workers& workers, const std::vector<db::NetId>& nets,
+                              grid::Solution& solution) {
+  // ---- 1. classify: interior-to-tile vs boundary pool -------------------
+  const int halo = std::max(grid.dcolor(), 1);
+  const shard::TilePlan plan(design_.die(), config_.shard_tiles);
+  std::vector<int> tile_of(nets.size());
+  std::vector<std::vector<size_t>> tile_nets(static_cast<size_t>(plan.num_tiles()));
+  for (size_t k = 0; k < nets.size(); ++k) {
+    tile_of[k] = plan.owner_of(net_scope(nets[k]).window, halo);
+    if (tile_of[k] >= 0) tile_nets[static_cast<size_t>(tile_of[k])].push_back(k);
   }
 
-  // Speculative super-batch executor. The whole pass computes
-  // concurrently against the pass-start grid — one pool dispatch, no
-  // inter-batch barriers — then commits strictly in ripped order on this
-  // thread. A speculation is *applied* only when no earlier-applied
-  // commit landed inside its read footprint (the per-class halo pair of
-  // RouteOutcome: window-clipped 1-halo for owner/history reads, dcolor
-  // halo around the TPL congestion reads only); a stale net recomputes
-  // serially right here, where the grid holds exactly the serial-prefix
-  // state. Every applied outcome is therefore the one the serial loop
-  // would have produced, for every thread count — speculation decides
-  // how much parallel work is *kept*, never what the result is. The
-  // schedule depth prefilter skips the commit-log walk for nets whose
-  // window provably interacts with no earlier net's (both footprint rects
-  // lie within window ⊕ halo, so depth 0 implies no overlap);
-  // test_determinism pins schedule_batches element-identical to the
-  // O(k²) oracle.
-  const int halo = std::max(grid.dcolor(), 1);
-  std::vector<geom::Rect> windows(nets.size());
-  for (size_t i = 0; i < nets.size(); ++i)
-    windows[i] = net_scope(nets[i]).window;
-  const std::vector<int> batch_of = schedule_batches(windows, halo);
+  // One task per non-empty tile, then one per boundary net. tile < 0
+  // marks a boundary task carrying its net-list index.
+  struct ShardTask {
+    int tile;
+    size_t net;
+  };
+  std::vector<ShardTask> tasks;
+  for (int t = 0; t < plan.num_tiles(); ++t)
+    if (!tile_nets[static_cast<size_t>(t)].empty()) tasks.push_back({t, 0});
+  for (size_t k = 0; k < nets.size(); ++k)
+    if (tile_of[k] < 0) tasks.push_back({-1, k});
 
+  // ---- 2. compute (nothing commits to the main grid) --------------------
+  // Workers only read `grid` (compute_route is const; tile commits land in
+  // the private view), so the shared grid IS the pass-start snapshot for
+  // every task. Task-to-worker assignment only picks which arena warms up;
+  // outcomes are slot-indexed and the per-tile order is the ripped order.
+  // The guarded compute keeps a throwing worker (injected allocation
+  // failure) from leaving its slot empty.
   std::vector<RouteOutcome> outcomes(nets.size());
-  // Workers only read the grid (compute_route is const) and nothing
-  // commits until the dispatch drains, so the shared grid *is* the
-  // pass-start snapshot. The guarded wrapper keeps a throwing worker
-  // (injected allocation failure) from leaving its slot empty — for_each
-  // would rethrow after the drain and the net would silently vanish.
-  pool->for_each(nets.size(), [&](size_t k, int worker) {
-    outcomes[k] = compute_route_guarded(
-        grid, *worker_searches[static_cast<size_t>(worker)], nets[k]);
+  workers.pool.for_each(tasks.size(), [&](size_t t, int worker) {
+    const ShardTask& task = tasks[t];
+    const auto w = static_cast<size_t>(worker);
+    if (task.tile < 0) {
+      outcomes[task.net] =
+          compute_route_guarded(grid, *workers.searches[w], nets[task.net]);
+      return;
+    }
+    grid::GridView view(grid, plan.tile(task.tile));
+    ColorSearch vsearch(view, config_, *workers.arenas[w]);
+    if (budget_.active()) vsearch.set_budget(&budget_);
+    for (const size_t k : tile_nets[static_cast<size_t>(task.tile)]) {
+      outcomes[k] = compute_route_guarded(view, vsearch, nets[k]);
+      for (auto& [v, m] : outcomes[k].colors) {
+        view.commit(v, nets[k], m);
+        v = view.to_base(v);
+      }
+      for (auto& path : outcomes[k].route.paths)
+        for (grid::VertexId& v : path) v = view.to_base(v);
+    }
   });
 
-  std::vector<geom::Rect> commit_box(nets.size());
-  std::vector<char> commit_live(nets.size(), 0);
+  // ---- 3. serial reconciliation in ripped order -------------------------
+  geom::SpatialGrid applied_idx(design_.die(), 32);  // every applied commit
+  geom::SpatialGrid hazard_idx(design_.die(), 32);   // commits views can't see
   size_t last_applied = nets.size();  // sentinel: nothing applied yet
   for (size_t k = 0; k < nets.size(); ++k) {
     if (budget_.active() && budget_.expired(stats_.relaxations)) {
+      // expired() is monotone within the walk, so every later net skips
+      // too — no view ever validated against a skipped predecessor's
+      // phantom commit, hence no hazard entry is needed here.
       stats_.wasted_relaxations += outcomes[k].relaxations;
-      mark_skipped(nets[k]);
+      mark_skipped(solution, nets[k]);
       continue;
     }
     ++stats_.speculated;
-    bool stale = false;
-    if (batch_of[k] > 0) {
-      for (size_t j = 0; j < k && !stale; ++j)
-        stale = commit_live[j] != 0 && outcomes[k].reads_overlap(commit_box[j]);
-    }
-    // Fault site kSpecInvalidate: pretend validation failed, forcing the
-    // serial redo. The redo recomputes against the exact serial-prefix
-    // state, so routing output is unchanged — the site exercises the
-    // redo path, it does not perturb results.
+    const bool interior = tile_of[k] >= 0;
+    const geom::SpatialGrid& idx = interior ? hazard_idx : applied_idx;
+    bool stale =
+        (outcomes[k].has_read_near && idx.any_overlap(outcomes[k].read_near)) ||
+        (outcomes[k].has_read_tpl && idx.any_overlap(outcomes[k].read_tpl));
+    // Fault site kSpecInvalidate: force the serial redo path; the redo
+    // recomputes against the exact serial-prefix state, so output is
+    // unchanged — the site exercises the redo path, it does not perturb
+    // results.
     if (util::FaultInjector::enabled() &&
         util::FaultInjector::instance().should_fail(
             util::FaultSite::kSpecInvalidate))
       stale = true;
+
+    bool diverged = false;
+    std::optional<geom::Rect> spec_box;
     if (stale) {
       ++stats_.respeculated;
       stats_.wasted_relaxations += outcomes[k].relaxations;
+      const std::vector<std::pair<grid::VertexId, grid::Mask>> spec_colors =
+          std::move(outcomes[k].colors);
       outcomes[k] = compute_route_guarded(grid, search, nets[k]);
+      diverged = outcomes[k].colors != spec_colors;
+      // The speculative metal is what later same-tile views saw; when the
+      // redo diverges, its bbox becomes a hazard alongside the commit.
+      if (diverged) spec_box = colors_bbox(grid, spec_colors);
     }
-    // Record the applied commit's actual write bbox (tighter than the
-    // search window) for the validation of later nets.
-    for (const auto& [v, m] : outcomes[k].colors) {
-      const grid::VertexLoc l = grid.loc(v);
-      if (commit_live[k] == 0) {
-        commit_live[k] = 1;
-        commit_box[k] = {l.x, l.y, l.x, l.y};
-      } else {
-        commit_box[k].lo.x = std::min(commit_box[k].lo.x, l.x);
-        commit_box[k].lo.y = std::min(commit_box[k].lo.y, l.y);
-        commit_box[k].hi.x = std::max(commit_box[k].hi.x, l.x);
-        commit_box[k].hi.y = std::max(commit_box[k].hi.y, l.y);
-      }
-    }
+
+    const std::optional<geom::Rect> commit_box = colors_bbox(grid, outcomes[k].colors);
     apply_outcome(grid, outcomes[k]);
+    if (commit_box) {
+      applied_idx.insert(static_cast<std::uint32_t>(k), *commit_box);
+      // Hazards for later interior nets: commits their views could not
+      // contain. Interior commits applied as-speculated are what the view
+      // held (same tile) or provably disjoint (other tiles) — not hazards.
+      if (!interior || diverged)
+        hazard_idx.insert(static_cast<std::uint32_t>(k), *commit_box);
+    }
+    if (spec_box) hazard_idx.insert(static_cast<std::uint32_t>(k), *spec_box);
     last_applied = k;
     solution.routes[static_cast<size_t>(nets[k])] = std::move(outcomes[k].route);
   }
-  // last_colors() tracks the final *applied* net of `nets`, same as the
-  // serial loop, so the accessor stays thread-count-independent. (colors
-  // survive the route move above.)
+  // last_colors() tracks the final applied net, same as the serial loop,
+  // so the accessor stays configuration-independent (colors survive the
+  // route move above).
   if (last_applied != nets.size()) set_last_colors(outcomes[last_applied]);
-  stats_.route_batches += 1;
-  stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
-  stats_.reroute_s += timer.elapsed_s();
 }
 
-grid::Solution MrTplRouter::run(grid::RoutingGrid& grid) {
-  return run(grid, RouteBudget{}, nullptr);
-}
-
-grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budget,
-                                RouterCheckpoint* checkpoint) {
-  util::Timer timer;
+void MrTplRouter::begin_run(const RouteBudget& budget, grid::Solution& solution) {
   stats_ = RouterStats{};
   budget_.arm(budget);
   extra_margin_.assign(static_cast<size_t>(design_.num_nets()), 0);
-  grid::Solution solution;
   solution.routes.resize(static_cast<size_t>(design_.num_nets()));
-  // Dead nets never enter net_order(); mark them trivially routed up front
-  // so the final failed-net count and the dispositions stay honest.
+  // Dead nets never enter net_order() and own no metal (an ECO removal's
+  // was released by the caller); mark them trivially routed so the
+  // failed-net count and the dispositions stay honest.
   for (const auto& net : design_.nets()) {
     if (!net.pins.empty()) continue;
     grid::NetRoute& r = solution.routes[static_cast<size_t>(net.id)];
+    r = grid::NetRoute{};
     r.net = net.id;
     r.routed = true;
     r.disposition = grid::NetDisposition::kRouted;
   }
+}
 
-  ColorSearch search(grid, config_);
-  if (budget_.active()) search.set_budget(&budget_);
-  const auto order = net_order();
+void MrTplRouter::capture_checkpoint(const grid::RoutingGrid& grid,
+                                     const grid::Solution& solution,
+                                     const LayoutSnapshot& best, int next_iter,
+                                     RouterCheckpoint* pending) const {
+  // Tripping mid-pass leaves skipped nets in `solution`, so the latch
+  // check also keeps those states out of checkpoints.
+  if (pending == nullptr || budget_.tripped()) return;
+  LayoutSnapshot now = LayoutSnapshot::capture(grid, solution, 0.0);
+  pending->valid = true;
+  pending->iteration = next_iter;
+  pending->solution = std::move(now.solution);
+  pending->masks = std::move(now.masks);
+  pending->history.resize(grid.num_vertices());
+  for (grid::VertexId v = 0; v < grid.num_vertices(); ++v)
+    pending->history[v] = static_cast<float>(grid.history(v));
+  pending->extra_margin = extra_margin_;
+  pending->conflicts_per_iter = stats_.conflicts_per_iter;
+  pending->best_solution = best.solution;
+  pending->best_masks = best.masks;
+  pending->best_score = best.score;
+}
 
-  // Incremental conflict engine: subscribes to the grid's dirty log so
-  // each detection pass costs O(rip delta × window), not O(die). The
-  // full-rescan oracle remains behind the toggle. Constructed before any
-  // commit (including a checkpoint restore below) so its log sees every
-  // change since the empty grid.
-  std::unique_ptr<ConflictIndex> index;
-  if (config_.incremental_conflicts) index = std::make_unique<ConflictIndex>(grid);
+void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
+                           Workers* workers, ConflictIndex* index,
+                           const std::vector<db::NetId>& order, int start_iter,
+                           LayoutSnapshot& best, grid::Solution& solution,
+                           RouterCheckpoint* pending) {
   auto detect = [&] {
     util::Timer t;
-    auto conflicts = index ? index->conflicts() : detect_conflicts(grid);
+    auto conflicts = index != nullptr ? index->conflicts() : detect_conflicts(grid);
     stats_.detect_s += t.elapsed_s();
     return conflicts;
   };
-
-  // Batched executor state: one pool, one SearchArena, and one ColorSearch
-  // per worker for the whole run — after the first few nets warm the
-  // arenas, the parallel hot path allocates nothing. Arenas are declared
-  // before the searches that borrow them so they outlive them.
-  std::unique_ptr<util::ThreadPool> pool;
-  std::vector<std::unique_ptr<SearchArena>> worker_arenas;
-  std::vector<std::unique_ptr<ColorSearch>> worker_searches;
-  if (config_.rrr_threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(config_.rrr_threads);
-    worker_arenas.reserve(static_cast<size_t>(pool->size()));
-    worker_searches.reserve(static_cast<size_t>(pool->size()));
-    for (int i = 0; i < pool->size(); ++i) {
-      worker_arenas.push_back(std::make_unique<SearchArena>());
-      worker_searches.push_back(
-          std::make_unique<ColorSearch>(grid, config_, *worker_arenas.back()));
-      if (budget_.active()) worker_searches.back()->set_budget(&budget_);
-    }
-  }
-
-  auto current_score = [&](const std::vector<Conflict>& conflicts) {
+  auto keep_if_best = [&](const std::vector<Conflict>& conflicts) {
     int failed = 0;
     for (const auto& r : solution.routes)
       if (!r.routed && r.net != db::kNoNet) ++failed;
-    return iterate_score(static_cast<int>(conflicts.size()),
-                         grid::count_stitches(grid, solution), failed);
+    const double score = iterate_score(static_cast<int>(conflicts.size()),
+                                       grid::count_stitches(grid, solution), failed);
+    if (score < best.score) best = LayoutSnapshot::capture(grid, solution, score);
   };
-  LayoutSnapshot best;
-
-  // Clean-boundary checkpointing. A boundary is captured only while the
-  // budget has NOT tripped — every captured state is one an uninterrupted
-  // run also passes through, which is what makes resume-then-finish
-  // byte-identical to never-interrupted (test_snapshot_restore). Tripping
-  // mid-pass leaves skipped nets in `solution`, so the latch check also
-  // keeps those states out of checkpoints.
-  RouterCheckpoint pending;
-  bool have_pending = false;
-  auto capture_boundary = [&](int next_iter) {
-    if (checkpoint == nullptr || budget_.tripped()) return;
-    pending.valid = true;
-    pending.iteration = next_iter;
-    pending.solution = solution;
-    pending.masks.clear();
-    pending.masks.reserve(solution.routes.size());
-    for (const auto& route : solution.routes) {
-      std::vector<grid::Mask> route_masks;
-      for (const grid::VertexId v : route.vertices())
-        route_masks.push_back(grid.mask(v));
-      pending.masks.push_back(std::move(route_masks));
-    }
-    pending.history.resize(grid.num_vertices());
-    for (grid::VertexId v = 0; v < grid.num_vertices(); ++v)
-      pending.history[v] = static_cast<float>(grid.history(v));
-    pending.extra_margin = extra_margin_;
-    pending.conflicts_per_iter = stats_.conflicts_per_iter;
-    pending.best_solution = best.solution;
-    pending.best_masks = best.masks;
-    pending.best_score = best.score;
-    have_pending = true;
-  };
-
-  int start_iter = 0;
-  if (checkpoint != nullptr && checkpoint->valid) {
-    // Resume: replay the checkpoint into the fresh grid. commit_route
-    // rebuilds owners/masks/congestion counts; history is restored
-    // directly; the conflict index (subscribed above) absorbs the commits
-    // through the dirty log like any route pass.
-    solution = checkpoint->solution;
-    for (size_t i = 0; i < solution.routes.size(); ++i)
-      grid::commit_route(grid, solution.routes[i], checkpoint->masks[i]);
-    for (grid::VertexId v = 0;
-         v < std::min<std::size_t>(checkpoint->history.size(), grid.num_vertices());
-         ++v)
-      if (checkpoint->history[v] != 0.0f) grid.add_history(v, checkpoint->history[v]);
-    extra_margin_ = checkpoint->extra_margin;
-    extra_margin_.resize(static_cast<size_t>(design_.num_nets()), 0);
-    stats_.conflicts_per_iter = checkpoint->conflicts_per_iter;
-    if (!checkpoint->best_masks.empty()) {
-      best.solution = checkpoint->best_solution;
-      best.masks = checkpoint->best_masks;
-      best.score = checkpoint->best_score;
-    }
-    start_iter = checkpoint->iteration;
-    // Re-capture the restored state: if this run is interrupted again
-    // before reaching a new boundary, the written-back checkpoint equals
-    // the one we resumed from instead of invalidating it.
-    capture_boundary(start_iter);
-  } else {
-    // Fig. 2 middle column: route every net once.
-    route_list(grid, search, pool.get(), worker_arenas, worker_searches, order,
-               solution);
-    capture_boundary(0);
-  }
 
   // Fig. 2 left column: conflict detection + rip-up & reroute with
   // history cost, bounded by max iterations. Blockage failures (a pin
@@ -710,8 +674,7 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
     if (budget_.active() && budget_.expired(stats_.relaxations)) break;
     const auto conflicts = detect();
     stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
-    if (const double score = current_score(conflicts); score < best.score)
-      best = LayoutSnapshot::capture(grid, solution, score);
+    keep_if_best(conflicts);
     std::vector<db::NetId> failed;
     for (const auto& r : solution.routes)
       if (!r.routed && r.net != db::kNoNet) failed.push_back(r.net);
@@ -733,7 +696,7 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
     // window retries with double the margin, up to the whole die — the
     // escape valve for blockage labyrinths whose only opening lies far
     // outside the bbox. Deterministic (depends only on the failure
-    // history), so the thread-count invariance is unaffected.
+    // history), so the configuration invariance is unaffected.
     const int margin_cap =
         std::max(design_.die().width(), design_.die().height());
     for (const db::NetId id : failed) {
@@ -759,17 +722,15 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
     if (ripped.empty()) break;
     for (const db::NetId id : ripped)
       grid::release_route(grid, solution.routes[static_cast<size_t>(id)]);
-    route_list(grid, search, pool.get(), worker_arenas, worker_searches, ripped,
-               solution);
+    route_list(grid, search, workers, ripped, solution);
     // A success retires the net's widened window: the widening is an
     // escape valve for one failure episode, and letting it stick made
-    // every later rip of the net search (and serialize against) a window
-    // up to the whole die. Depends only on routed flags, so thread-count
-    // invariance is unaffected.
+    // every later rip of the net search a window up to the whole die.
+    // Depends only on routed flags, so configuration invariance holds.
     for (const db::NetId id : ripped)
       if (solution.routes[static_cast<size_t>(id)].routed)
         extra_margin_[static_cast<size_t>(id)] = 0;
-    capture_boundary(iter + 1);
+    capture_checkpoint(grid, solution, best, iter + 1, pending);
   }
   // Score the state the loop ended on (the per-iteration scoring above
   // sees each state *before* its reroute, so the last reroute's result is
@@ -778,37 +739,103 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
     const auto conflicts = detect();
     if (static_cast<int>(stats_.conflicts_per_iter.size()) == config_.max_rrr_iterations)
       stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
-    if (const double score = current_score(conflicts); score < best.score)
-      best = LayoutSnapshot::capture(grid, solution, score);
+    keep_if_best(conflicts);
   }
   if (!best.masks.empty()) {
     best.restore(grid, solution);
     solution = best.solution;
   }
 
-  // Degraded status AFTER the best-restore: the returned routes are the
-  // best iterate, and their dispositions describe exactly that iterate
-  // (an earlier, fully-routed iterate legitimately carries no partial or
+  // Status AFTER the best-restore: the returned routes are the best
+  // iterate, and their dispositions describe exactly that iterate (an
+  // earlier, fully-routed iterate legitimately carries no partial or
   // skipped markers even on a degraded run).
   const bool degraded = budget_.active() && budget_.tripped();
-  if (degraded) {
-    solution.status = grid::SolutionStatus::kDegraded;
-    stats_.budget_hit = true;
+  solution.status =
+      degraded ? grid::SolutionStatus::kDegraded : grid::SolutionStatus::kComplete;
+  stats_.budget_hit = degraded;
+  for (const auto& r : solution.routes)
+    if (!r.routed && r.net != db::kNoNet) ++stats_.failed_nets;
+}
+
+grid::Solution MrTplRouter::run(grid::RoutingGrid& grid) {
+  return run(grid, RouteBudget{}, nullptr);
+}
+
+grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budget,
+                                RouterCheckpoint* checkpoint) {
+  util::Timer timer;
+  grid::Solution solution;
+  begin_run(budget, solution);
+  ColorSearch search(grid, config_);
+  if (budget_.active()) search.set_budget(&budget_);
+  const auto order = net_order();
+
+  // Incremental conflict engine: subscribes to the grid's dirty log so
+  // each detection pass costs O(rip delta × window), not O(die). The
+  // full-rescan oracle remains behind the toggle. Constructed before any
+  // commit (including a checkpoint restore below) so its log sees every
+  // change since the empty grid.
+  std::unique_ptr<ConflictIndex> index;
+  if (config_.incremental_conflicts) index = std::make_unique<ConflictIndex>(grid);
+
+  // The tile walk needs both a pool and a die tiling; any other
+  // configuration routes serially.
+  std::unique_ptr<Workers> workers;
+  if (config_.rrr_threads > 1 && config_.shard_tiles > 1)
+    workers = std::make_unique<Workers>(grid, config_,
+                                        budget_.active() ? &budget_ : nullptr);
+
+  LayoutSnapshot best;
+  RouterCheckpoint pending;
+  RouterCheckpoint* const capture = checkpoint != nullptr ? &pending : nullptr;
+  int start_iter = 0;
+  if (checkpoint != nullptr && checkpoint->valid) {
+    // Resume: replay the checkpoint into the fresh grid. commit_route
+    // rebuilds owners/masks/congestion counts; history is restored
+    // directly; the conflict index (subscribed above) absorbs the commits
+    // through the dirty log like any route pass.
+    solution = checkpoint->solution;
+    for (size_t i = 0; i < solution.routes.size(); ++i)
+      grid::commit_route(grid, solution.routes[i], checkpoint->masks[i]);
+    for (grid::VertexId v = 0;
+         v < std::min<std::size_t>(checkpoint->history.size(), grid.num_vertices());
+         ++v)
+      if (checkpoint->history[v] != 0.0f) grid.add_history(v, checkpoint->history[v]);
+    extra_margin_ = checkpoint->extra_margin;
+    extra_margin_.resize(static_cast<size_t>(design_.num_nets()), 0);
+    stats_.conflicts_per_iter = checkpoint->conflicts_per_iter;
+    if (!checkpoint->best_masks.empty()) {
+      best.solution = checkpoint->best_solution;
+      best.masks = checkpoint->best_masks;
+      best.score = checkpoint->best_score;
+    }
+    start_iter = checkpoint->iteration;
+    // Re-capture the restored state: if this run is interrupted again
+    // before reaching a new boundary, the written-back checkpoint equals
+    // the one we resumed from instead of invalidating it.
+    capture_checkpoint(grid, solution, best, start_iter, capture);
+  } else {
+    // Fig. 2 middle column: route every net once.
+    route_list(grid, search, workers.get(), order, solution);
+    capture_checkpoint(grid, solution, best, 0, capture);
+  }
+
+  rrr_loop(grid, search, workers.get(), index.get(), order, start_iter, best,
+           solution, capture);
+
+  if (stats_.budget_hit)
     util::warn("mrtpl",
                util::format("budget expired: stopping after %d RRR iteration(s) "
                             "(%d partial, %d skipped net(s) in returned iterate)",
                             stats_.rrr_iterations, solution.num_partial(),
                             solution.num_skipped()));
-  }
   if (checkpoint != nullptr) {
-    if (degraded && have_pending)
+    if (stats_.budget_hit && pending.valid)
       *checkpoint = std::move(pending);
     else
       checkpoint->valid = false;  // run completed, or no clean boundary reached
   }
-
-  for (const auto& r : solution.routes)
-    if (!r.routed) ++stats_.failed_nets;
   stats_.runtime_s = timer.elapsed_s();
   return solution;
 }
@@ -819,28 +846,12 @@ grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
                                           grid::Solution& solution,
                                           const RouteBudget& budget) {
   util::Timer timer;
-  stats_ = RouterStats{};
-  budget_.arm(budget);
-  extra_margin_.assign(static_cast<size_t>(design_.num_nets()), 0);
-  solution.routes.resize(static_cast<size_t>(design_.num_nets()));
-  // Normalize dead-net entries (ECO removals) to the trivially-routed
-  // marker; their metal was released by the caller.
-  for (const auto& net : design_.nets()) {
-    if (!net.pins.empty()) continue;
-    grid::NetRoute& r = solution.routes[static_cast<size_t>(net.id)];
-    r = grid::NetRoute{};
-    r.net = net.id;
-    r.routed = true;
-    r.disposition = grid::NetDisposition::kRouted;
-  }
-
+  begin_run(budget, solution);
   ColorSearch search(grid, config_);
   if (budget_.active()) search.set_budget(&budget_);
-  std::vector<std::unique_ptr<SearchArena>> no_arenas;
-  std::vector<std::unique_ptr<ColorSearch>> no_workers;
 
   // Worklist: the dirty nets in global heuristic order (dedup'd, dead and
-  // out-of-range ids dropped). Sessions are strictly serial — no pool —
+  // out-of-range ids dropped). Sessions are strictly serial — no workers —
   // so live apply and journal replay walk the identical code path.
   std::vector<char> is_dirty(static_cast<size_t>(design_.num_nets()), 0);
   for (const db::NetId id : dirty)
@@ -856,94 +867,14 @@ grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
     own_index = std::make_unique<ConflictIndex>(grid);
     index = own_index.get();
   }
-  auto detect = [&] {
-    util::Timer t;
-    auto conflicts = index != nullptr ? index->conflicts() : detect_conflicts(grid);
-    stats_.detect_s += t.elapsed_s();
-    return conflicts;
-  };
-  auto current_score = [&](const std::vector<Conflict>& conflicts) {
-    int failed = 0;
-    for (const auto& r : solution.routes)
-      if (!r.routed && r.net != db::kNoNet) ++failed;
-    return iterate_score(static_cast<int>(conflicts.size()),
-                         grid::count_stitches(grid, solution), failed);
-  };
-  LayoutSnapshot best;
-
-  route_list(grid, search, nullptr, no_arenas, no_workers, work, solution);
 
   // The localized RRR loop: same policy as run(), seeded by the edit's
   // delta. Conflicts and failures can only arise where the edit touched
   // (the pre-edit state was an accepted iterate), so ripping stays local
   // in practice while remaining globally correct.
-  for (int iter = 0; iter < config_.max_rrr_iterations; ++iter) {
-    if (budget_.active() && budget_.expired(stats_.relaxations)) break;
-    const auto conflicts = detect();
-    stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
-    if (const double score = current_score(conflicts); score < best.score)
-      best = LayoutSnapshot::capture(grid, solution, score);
-    std::vector<db::NetId> failed;
-    for (const auto& r : solution.routes)
-      if (!r.routed && r.net != db::kNoNet) failed.push_back(r.net);
-    if (conflicts.empty() && failed.empty()) break;
-    stats_.rrr_iterations = iter + 1;
-
-    std::vector<char> rip(static_cast<size_t>(design_.num_nets()), 0);
-    const double hist = grid.tech().rules().history_increment;
-    for (const auto& c : conflicts) {
-      rip[static_cast<size_t>(c.net_a)] = 1;
-      rip[static_cast<size_t>(c.net_b)] = 1;
-      for (const auto& [v, u] : c.pairs) {
-        grid.add_history(v, hist);
-        grid.add_history(u, hist);
-      }
-    }
-    const int margin_cap =
-        std::max(design_.die().width(), design_.die().height());
-    for (const db::NetId id : failed) {
-      int& extra = extra_margin_[static_cast<size_t>(id)];
-      extra = std::min(margin_cap,
-                       extra == 0 ? config_.search_margin : 2 * extra);
-      rip[static_cast<size_t>(id)] = 1;
-      for (const db::NetId b :
-           blockers_of(grid, design_, id, config_.search_margin + extra))
-        rip[static_cast<size_t>(b)] = 1;
-    }
-    std::vector<db::NetId> ripped;
-    for (const db::NetId id : failed) {
-      ripped.push_back(id);
-      rip[static_cast<size_t>(id)] = 2;
-    }
-    for (const db::NetId id : order)
-      if (rip[static_cast<size_t>(id)] == 1) ripped.push_back(id);
-    if (ripped.empty()) break;
-    for (const db::NetId id : ripped)
-      grid::release_route(grid, solution.routes[static_cast<size_t>(id)]);
-    route_list(grid, search, nullptr, no_arenas, no_workers, ripped, solution);
-    for (const db::NetId id : ripped)
-      if (solution.routes[static_cast<size_t>(id)].routed)
-        extra_margin_[static_cast<size_t>(id)] = 0;
-  }
-  {
-    const auto conflicts = detect();
-    if (static_cast<int>(stats_.conflicts_per_iter.size()) ==
-        config_.max_rrr_iterations)
-      stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
-    if (const double score = current_score(conflicts); score < best.score)
-      best = LayoutSnapshot::capture(grid, solution, score);
-  }
-  if (!best.masks.empty()) {
-    best.restore(grid, solution);
-    solution = best.solution;
-  }
-
-  const bool degraded = budget_.active() && budget_.tripped();
-  solution.status =
-      degraded ? grid::SolutionStatus::kDegraded : grid::SolutionStatus::kComplete;
-  stats_.budget_hit = degraded;
-  for (const auto& r : solution.routes)
-    if (!r.routed && r.net != db::kNoNet) ++stats_.failed_nets;
+  route_list(grid, search, nullptr, work, solution);
+  LayoutSnapshot best;
+  rrr_loop(grid, search, nullptr, index, order, 0, best, solution, nullptr);
   stats_.runtime_s = timer.elapsed_s();
   return solution.status;
 }

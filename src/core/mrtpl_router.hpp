@@ -5,7 +5,6 @@
 /// Fig. 2 outer loop (route all nets → detect conflicts → rip-up & update
 /// history → reroute).
 
-#include <memory>
 #include <vector>
 
 #include "core/color_search.hpp"
@@ -16,7 +15,6 @@
 #include "global/guide.hpp"
 #include "grid/route_result.hpp"
 #include "grid/routing_grid.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mrtpl::core {
 
@@ -34,10 +32,10 @@ struct RouterStats {
   int route_batches = 0;              ///< executor passes (one per route_list)
 
   /// Applied relaxations of each route_list pass, in pass order. The
-  /// entries always sum to `relaxations` — bench_rrr_parallel aborts if
-  /// the accounting ever drifts — and, like it, are independent of the
-  /// thread count (speculative work that fails validation is *not*
-  /// applied; it lands in wasted_relaxations instead).
+  /// entries always sum to `relaxations` — bench_sharded aborts if the
+  /// accounting ever drifts — and, like it, are independent of the
+  /// (tiles, threads) configuration (speculative work that fails
+  /// validation is *not* applied; it lands in wasted_relaxations instead).
   std::vector<std::uint64_t> relaxations_per_pass;
   int speculated = 0;                 ///< speculative outcomes reaching commit
   int respeculated = 0;               ///< speculations redone serially
@@ -138,8 +136,8 @@ class MrTplRouter {
   /// Everything one net's routing produces, computed against a read-only
   /// grid: the tree, the chosen (vertex, mask) commits in commit order,
   /// and the search-effort counter. Committing an outcome is the only
-  /// grid mutation — which is what lets a batch of disjoint-window nets
-  /// compute concurrently and commit serially.
+  /// grid mutation — which is what lets the tile walk compute nets
+  /// concurrently and commit them serially.
   struct RouteOutcome {
     grid::NetRoute route;
     std::vector<std::pair<grid::VertexId, grid::Mask>> colors;
@@ -150,21 +148,23 @@ class MrTplRouter {
     /// window before reading a candidate, so nothing outside the window is
     /// ever read. `read_tpl` covers the Dcolor congestion scans: the bbox
     /// of TPL-layer reads inflated by dcolor, usually far smaller than the
-    /// labeled bbox. The speculative executor validates commits against
-    /// the pair — strictly tighter than the old square max(dcolor, 1)
-    /// inflation of the whole labeled bbox, and tightness only changes how
-    /// many speculations are KEPT, never the routing output.
+    /// labeled bbox. The tile walk validates commits against the pair;
+    /// tightness only changes how many speculations are KEPT, never the
+    /// routing output.
     geom::Rect read_near;
     geom::Rect read_tpl;
     bool has_read_near = false;
     bool has_read_tpl = false;
-
-    /// True when any earlier-applied commit box intersects the footprint.
-    [[nodiscard]] bool reads_overlap(const geom::Rect& box) const {
-      return (has_read_near && box.overlaps(read_near)) ||
-             (has_read_tpl && box.overlaps(read_tpl));
-    }
   };
+
+  /// The tile walk's thread pool plus one SearchArena and one base-grid
+  /// ColorSearch per worker (mrtpl_router.cpp). Built once per run(), so
+  /// after the first few nets warm the arenas the parallel hot path
+  /// allocates nothing.
+  struct Workers;
+
+  /// A restorable copy of the committed layout (mrtpl_router.cpp).
+  struct LayoutSnapshot;
 
   /// compute_route with every exception (injected allocation failures,
   /// unexpected search errors) converted into a failed outcome — the
@@ -181,8 +181,8 @@ class MrTplRouter {
   /// A net's search scope: the guide actually applied (null when absent
   /// or empty) and the window (bbox ∪ guide bbox, inflated by
   /// search_margin, clamped to the die). The single source of truth
-  /// shared by compute_route and the batch scheduler, so the scheduler's
-  /// disjointness footprint can never desynchronize from the search.
+  /// shared by compute_route and the tile classifier, so tile ownership
+  /// can never desynchronize from the search.
   struct SearchScope {
     const global::NetGuide* guide = nullptr;
     geom::Rect window;
@@ -212,36 +212,77 @@ class MrTplRouter {
   void apply_outcome(grid::RoutingGrid& grid, const RouteOutcome& outcome);
 
   /// Refresh the last_colors() accessor from an outcome. Kept separate
-  /// from apply_outcome so the batched executor can pin last_colors() to
-  /// the final net of the list regardless of which batch it landed in —
-  /// the accessor must not depend on the thread count either.
+  /// from apply_outcome so the tile walk can pin last_colors() to the
+  /// final applied net of the list — the accessor must not depend on the
+  /// (tiles, threads) configuration either.
   void set_last_colors(const RouteOutcome& outcome);
 
-  /// Route `nets` in order, serially (pool == nullptr) or via the
-  /// deterministic disjoint-window batch executor, storing results in
-  /// `solution`. With config_.shard_tiles > 1 the speculative pass runs
-  /// tile-sharded (route_list_sharded, defined in sharded_router.cpp).
-  void route_list(grid::RoutingGrid& grid, ColorSearch& search,
-                  util::ThreadPool* pool,
-                  std::vector<std::unique_ptr<SearchArena>>& worker_arenas,
-                  std::vector<std::unique_ptr<ColorSearch>>& worker_searches,
+  /// Route `nets` in order, storing results in `solution`. Two branches:
+  /// serial (no `workers`, a single net, or a budget already expired at
+  /// pass start — every net then skips), and the tile walk (route_tiles).
+  /// Either way the budget is checked against the *applied* ledger at
+  /// each net's commit point, and a net found expired is marked kSkipped
+  /// without committing anything, so a relaxation budget stops on the
+  /// same net for every configuration.
+  ///
+  /// The tile walk runs one pass in three steps:
+  ///
+  ///  1. CLASSIFY. The die is partitioned into a K×K shard::TilePlan. A
+  ///     net whose halo-inflated search window fits one tile is *interior*
+  ///     to it; everything else joins the boundary pool. The plan depends
+  ///     only on (die, shard_tiles), never on the thread count.
+  ///  2. COMPUTE (parallel, main grid frozen). One pool task per non-empty
+  ///     tile plus one per boundary net. A tile task builds a
+  ///     grid::GridView of its rect (an O(tile) copy of the pass-start
+  ///     state) and routes its interior nets SEQUENTIALLY in ripped order,
+  ///     committing each into the view — intra-tile dependencies are
+  ///     exact, not speculative. Boundary nets speculate flat against the
+  ///     shared pass-start grid.
+  ///  3. RECONCILE (serial). One commit walk in ripped order. An interior
+  ///     outcome is stale only if a *hazard* — an applied boundary commit,
+  ///     or an earlier redo that diverged from its speculation — landed
+  ///     inside its read footprint (interior nets of other tiles provably
+  ///     cannot overlap it: reads ⊆ window ⊕ halo ⊆ own tile). A boundary
+  ///     outcome is stale if ANY earlier applied commit did. Stale nets
+  ///     recompute on the spot, against the exact serial-prefix grid.
+  ///     Both indices are geom::SpatialGrid, so the walk is O(n · window).
+  ///
+  /// Every applied outcome therefore equals the serial loop's, so the
+  /// solution and the applied-relaxation ledger are byte-identical for
+  /// every (shard_tiles, rrr_threads) configuration — validation decides
+  /// what is KEPT, never what the result is.
+  void route_list(grid::RoutingGrid& grid, ColorSearch& search, Workers* workers,
                   const std::vector<db::NetId>& nets, grid::Solution& solution);
 
-  /// The tile-sharded speculative executor (sharded_router.cpp): interior
-  /// nets of each tile compute sequentially against a per-tile GridView —
-  /// intra-tile dependencies are exact, not speculative — boundary-pool
-  /// nets compute flat against the pass snapshot, and one serial commit
-  /// walk in ripped order validates every outcome against the hazards it
-  /// could not have seen. Byte-identical to the serial loop for every
-  /// (tiles, threads) configuration, by the same argument as route_list:
-  /// an outcome is applied only when its read footprint provably matches
-  /// the serial-prefix state, else it is recomputed right there.
-  void route_list_sharded(grid::RoutingGrid& grid, ColorSearch& search,
-                          util::ThreadPool* pool,
-                          std::vector<std::unique_ptr<SearchArena>>& worker_arenas,
-                          std::vector<std::unique_ptr<ColorSearch>>& worker_searches,
-                          const std::vector<db::NetId>& nets,
-                          grid::Solution& solution);
+  /// The tile walk of route_list (steps 1–3 above).
+  void route_tiles(grid::RoutingGrid& grid, ColorSearch& search, Workers& workers,
+                   const std::vector<db::NetId>& nets, grid::Solution& solution);
+
+  /// Shared prologue of run() and reroute(): reset the stats, arm the
+  /// budget, clear the widened windows, size `solution` to the design and
+  /// normalize dead-net entries (ECO tombstones) to trivially routed.
+  void begin_run(const RouteBudget& budget, grid::Solution& solution);
+
+  /// The Fig. 2 rip-up-and-reroute loop shared by run() and reroute(),
+  /// starting after the initial pass at iteration `start_iter`: conflict
+  /// detection (`index`, or the full-rescan oracle when null), history
+  /// update, window widening, blocker sweep, ripped order, reroute, then
+  /// the keep-best restore and the final status/failed-net accounting.
+  /// `best` carries the best iterate so far in and out. With `pending`
+  /// non-null, every clean iteration boundary is captured into it.
+  void rrr_loop(grid::RoutingGrid& grid, ColorSearch& search, Workers* workers,
+                ConflictIndex* index, const std::vector<db::NetId>& order,
+                int start_iter, LayoutSnapshot& best, grid::Solution& solution,
+                RouterCheckpoint* pending);
+
+  /// Capture the clean boundary before iteration `next_iter` into
+  /// `*pending`. No-op when `pending` is null or the budget has tripped —
+  /// every captured state is one an uninterrupted run also passes through,
+  /// which is what makes resume-then-finish byte-identical.
+  void capture_checkpoint(const grid::RoutingGrid& grid,
+                          const grid::Solution& solution,
+                          const LayoutSnapshot& best, int next_iter,
+                          RouterCheckpoint* pending) const;
 
   const db::Design& design_;
   const global::GuideSet* guides_;
@@ -259,8 +300,8 @@ class MrTplRouter {
   /// valve for labyrinth-style blockages whose only opening lies far
   /// outside the net's bbox (scenario macro mazes) — and drops back to
   /// zero the moment the net routes. Mutated only between route passes on
-  /// the main thread; net_scope reads it, so the batch scheduler's
-  /// footprints track the widened windows automatically.
+  /// the main thread; net_scope reads it, so tile ownership tracks the
+  /// widened windows automatically.
   std::vector<int> extra_margin_;
 };
 

@@ -6,9 +6,10 @@
 ///
 ///  * max_relaxations — a ledger budget on *applied* search relaxations.
 ///    Checked only at per-net commit points on the main thread against
-///    RouterStats::relaxations, which the speculative executor keeps
-///    thread-invariant — so a relaxation budget yields the SAME degraded
-///    solution for every rrr_threads value (pinned by test_route_budget).
+///    RouterStats::relaxations, which the tile walk keeps invariant
+///    across (shard_tiles, rrr_threads) — so a relaxation budget yields
+///    the SAME degraded solution for every configuration (pinned by
+///    test_route_budget).
 ///  * deadline_s — wall-clock deadline from the moment run() starts.
 ///    Checked at commit points and every ~4096 relaxations inside
 ///    ColorSearch::search. Best-effort: where the deadline lands depends

@@ -21,26 +21,22 @@ struct RouterConfig {
   /// `bench_ablation_rrr` "negotiated baseline" ablation.
   bool rrr_on_color_conflicts = true;
 
-  /// Worker threads of the speculative rip-up-and-reroute executor. With
-  /// N >= 2 every ripped net of a pass computes concurrently against the
-  /// pass-start grid; results commit on the main thread strictly in
-  /// ripped order, and a speculation whose read footprint an earlier
-  /// commit landed in is recomputed serially at its commit slot. Applied
-  /// results are the serial loop's by construction, so output is
-  /// byte-identical for every thread count; 1 runs the reference serial
-  /// path.
+  /// Worker threads of the tile walk (MrTplRouter::route_list). The walk
+  /// runs only when BOTH rrr_threads >= 2 and shard_tiles >= 2, and it is
+  /// parallel only from shard_tiles >= 4; rrr_threads alone routes
+  /// serially. Output is byte-identical for every value.
   int rrr_threads = 1;
 
-  /// Die tiling of the sharded speculative executor (core::ShardedRouter /
-  /// route_list_sharded). The die is partitioned into ~sqrt(shard_tiles)²
-  /// tiles; a net whose halo-inflated search window fits inside one tile
-  /// is *interior* to it and computes sequentially against that tile's
-  /// GridView (intra-tile dependencies exact, O(tile) memory), nets
-  /// crossing tile boundaries join the boundary pool and speculate flat.
-  /// Output is byte-identical for every (shard_tiles, rrr_threads)
-  /// configuration — validation at commit decides what is KEPT, never
-  /// what the result is. 1 disables sharding (the flat PR-6 executor);
-  /// takes effect only with rrr_threads >= 2.
+  /// Die tiling of the tile walk. The die is partitioned into
+  /// ~sqrt(shard_tiles)² tiles; a net whose halo-inflated search window
+  /// fits inside one tile is *interior* to it and computes sequentially
+  /// against that tile's GridView (intra-tile dependencies exact, O(tile)
+  /// memory), nets crossing tile boundaries join the boundary pool and
+  /// speculate flat; one serial walk in ripped order then validates every
+  /// outcome and redoes stale ones. Output is byte-identical for every
+  /// (shard_tiles, rrr_threads) configuration — validation decides what
+  /// is KEPT, never what the result is. 1 routes serially; 2 and 3 round
+  /// down to a single-tile plan.
   int shard_tiles = 1;
 
   /// Maintain the violating-pair set incrementally (core::ConflictIndex,

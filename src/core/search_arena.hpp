@@ -157,7 +157,7 @@ struct SearchArena {
   // ---- per-session guide-cover bitmap over the search window ----------
   std::vector<std::uint64_t> guide_bits;
 
-  // ---- read-footprint tracking for the speculative batch executor -----
+  // ---- read-footprint tracking for the tile walk's validation --------
   bool any_touched = false;
   geom::Rect touched_bbox;
   /// TPL congestion reads only (Dcolor-window scans): usually a much

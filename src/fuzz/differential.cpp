@@ -57,9 +57,16 @@ OracleReport check_design(const db::Design& design, const OracleOptions& options
                       drc_report.summary()});
   };
 
+  // Any thread count > 1 runs the tile walk on a 2x2 tiling; one thread
+  // routes serially. The label names both knobs.
+  auto config_label = [](int threads) {
+    return util::format("threads=%d tiles=%d", threads, threads > 1 ? 4 : 1);
+  };
   std::string reference;  // serialized solution of thread_counts[0]
   for (size_t t = 0; t < options.thread_counts.size(); ++t) {
-    config.rrr_threads = options.thread_counts[t];
+    const int threads = options.thread_counts[t];
+    config.rrr_threads = threads;
+    config.shard_tiles = threads > 1 ? 4 : 1;
     try {
       grid::RoutingGrid grid(design);
       core::MrTplRouter router(design, &guides, config);
@@ -69,17 +76,14 @@ OracleReport check_design(const db::Design& design, const OracleOptions& options
         reference = serialized;
       } else if (serialized != reference) {
         report.findings.push_back(
-            {"determinism",
-             util::format("mrtpl threads=%d diverges from threads=%d",
-                          options.thread_counts[t], options.thread_counts[0])});
+            {"determinism", "mrtpl " + config_label(threads) + " diverges from " +
+                                config_label(options.thread_counts[0])});
       }
-      drc_check(util::format("mrtpl_t%d", options.thread_counts[t]).c_str(),
-                grid, solution);
+      drc_check(("mrtpl " + config_label(threads)).c_str(), grid, solution);
     } catch (const std::exception& e) {
       report.findings.push_back(
           {"router-exception",
-           util::format("mrtpl threads=%d threw: %s", options.thread_counts[t],
-                        e.what())});
+           "mrtpl " + config_label(threads) + " threw: " + e.what()});
     }
   }
 

@@ -6,7 +6,8 @@
 /// Finding. The checks:
 ///
 ///  * determinism — MrTplRouter at every configured thread count must
-///    serialize byte-identically (the executor's core contract).
+///    serialize byte-identically (the executor's core contract). Thread
+///    counts > 1 run the tile walk on a 2x2 tiling (shard_tiles = 4).
 ///  * structural validity — every produced solution (Mr.TPL and the
 ///    DAC'12 baseline) must pass the independent DRC checker, which
 ///    re-derives connectivity/ownership/coloring from the grid without
@@ -33,8 +34,8 @@ struct OracleOptions {
   /// RRR iteration cap per routed case — fuzz cases prize coverage per
   /// second over routing quality.
   int max_rrr = 3;
-  /// Thread counts the determinism check sweeps. The first entry is the
-  /// reference serialization.
+  /// Thread counts the determinism check sweeps (> 1 also sets
+  /// shard_tiles = 4). The first entry is the reference serialization.
   std::vector<int> thread_counts = {1, 2};
   /// Also route with the DAC'12 baseline and DRC-check it.
   bool run_dac12 = true;

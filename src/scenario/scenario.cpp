@@ -236,8 +236,7 @@ ScenarioRegistry build_builtin() {
   }
   // ---- production scale -------------------------------------------------
   // Order-of-magnitude-larger dies and netlists than every family above —
-  // the regime the sharded executor (core::ShardedRouter, `suite --tiles`)
-  // exists for. Nets are local with moderate spans, as production
+  // the regime the tile walk (`suite --tiles K --threads T`) exists for. Nets are local with moderate spans, as production
   // netlists are: scale stress comes from volume (grid memory, benchgen
   // throughput, global-router scratch reuse, per-tile view construction),
   // not from per-net hardness, and the suite's conflict-free + DRC-clean

@@ -1,7 +1,7 @@
 #pragma once
 /// \file tile_plan.hpp
 /// K×K rectangular die partition + halo-based net ownership — the
-/// classification half of the sharded executor (core/sharded_router.cpp).
+/// classification half of MrTplRouter's tile walk (mrtpl_router.cpp).
 ///
 /// A net is *interior* to a tile when its halo-inflated search window
 /// (clipped to the die) lies entirely inside that tile's rect: everything

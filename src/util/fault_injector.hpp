@@ -11,10 +11,12 @@
 ///                    label-array growth ran out of memory. The router
 ///                    marks the net failed and retries it on a later RRR
 ///                    iteration.
-///   spec_invalidate  The speculative RRR executor treats a speculation
+///   spec_invalidate  The tile walk's reconciliation treats a speculation
 ///                    as stale and recomputes it serially. Output is
 ///                    unchanged by construction (the redo IS the serial
-///                    result); the site exercises the redo path.
+///                    result); the site exercises the redo path. Only a
+///                    parallel run reaches it: `--threads N` alone routes
+///                    serially, so it needs `--tiles K` (K >= 4) too.
 ///   search_fail      compute_route reports the net unroutable without
 ///                    searching, once per keyed net. RRR rips and
 ///                    retries it, exercising the failed-net recovery.

@@ -1,12 +1,12 @@
 #pragma once
 /// \file thread_pool.hpp
-/// Fixed-size worker pool for the batched rip-up-and-reroute executor.
-/// One pool lives for a whole routing run; each RRR batch is one
-/// for_each call, so workers (and their per-worker ColorSearch scratch)
-/// are reused instead of being spawned per batch. Determinism does not
-/// depend on the pool: callers only hand it tasks whose effects are
-/// order-independent (disjoint-window net computes writing distinct
-/// result slots) and sequence all shared-state mutation themselves.
+/// Fixed-size worker pool for the router's tile walk. One pool lives for
+/// a whole routing run; each route pass is one for_each call, so workers
+/// (and their per-worker ColorSearch scratch) are reused instead of being
+/// spawned per pass. Determinism does not depend on the pool: callers
+/// only hand it tasks whose effects are order-independent (net computes
+/// against a frozen grid, writing distinct result slots) and sequence
+/// all shared-state mutation themselves.
 
 #include <condition_variable>
 #include <cstddef>

@@ -84,7 +84,7 @@ TEST(CliSmoke, ThreadedRouteMatchesSerialAndRejectsBadCount) {
                       serial_path, "--threads", "1", "--rescan-conflicts"}),
             0);
   ASSERT_EQ(cli::run({"route", "--design", design_path, "--solution",
-                      parallel_path, "--threads", "4"}),
+                      parallel_path, "--threads", "4", "--tiles", "4"}),
             0);
   EXPECT_EQ(slurp(serial_path), slurp(parallel_path));
 

@@ -6,17 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+
 #include "baseline/dac12_router.hpp"
 #include "baseline/decomposer.hpp"
 #include "baseline/plain_router.hpp"
 #include "benchgen/generator.hpp"
-#include "core/batch_schedule.hpp"
 #include "core/mrtpl_router.hpp"
 #include "global/global_router.hpp"
 #include "io/design_io.hpp"
 #include "io/solution_io.hpp"
 #include "support/builders.hpp"
-#include "util/rng.hpp"
 
 namespace mrtpl {
 namespace {
@@ -80,12 +81,10 @@ TEST_P(DeterminismSweep, DifferentSeedsDiffer) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismSweep, ::testing::Values(10, 20, 30));
 
-/// The speculative parallel RRR executor pins a bar stronger than
-/// run-to-run stability: for ANY worker count the serialized solution
-/// must be byte-identical to the serial reference path (rrr_threads = 1,
-/// full-rescan conflict detection). Speculations commit in ripped order
-/// and any whose read footprint an earlier commit touched is redone
-/// serially, so thread scheduling must never be observable in the output.
+/// rrr_threads on its own (shard_tiles 1) must be invisible: without a
+/// die tiling the router routes serially, so for ANY worker count, with
+/// either conflict engine, the serialized solution is byte-identical to
+/// the serial reference (rrr_threads = 1, full-rescan conflict detection).
 class ThreadSweepDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ThreadSweepDeterminism, AnyThreadCountMatchesSerialReference) {
@@ -114,32 +113,50 @@ TEST_P(ThreadSweepDeterminism, AnyThreadCountMatchesSerialReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ThreadSweepDeterminism,
                          ::testing::Values(10, 20, 30));
 
-/// Same bar for the tile-sharded executor (core/sharded_router.cpp):
-/// every (shard_tiles, rrr_threads) configuration must serialize
-/// byte-identically to the unsharded serial reference. Tile ownership,
+/// The parallel executor pins a bar stronger than run-to-run stability:
+/// every (shard_tiles, rrr_threads) configuration, with either conflict
+/// engine, must serialize byte-identically to the serial reference
+/// (tiles 1, threads 1, full-rescan conflict detection). Tile ownership,
 /// per-tile GridView compute and the hazard-indexed reconciliation walk
-/// must all be invisible in the output.
+/// must all be invisible in the output — and in the applied-work ledger:
+/// speculation that fails validation is wasted, never applied, so
+/// `relaxations` and its per-pass split match the serial run exactly.
 class ShardSweepDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardSweepDeterminism, AnyTileThreadConfigMatchesSerialReference) {
   const db::Design design = benchgen::generate(spec_of(GetParam()));
   global::GlobalRouter gr(design);
   const global::GuideSet guides = gr.route_all();
-  auto run_with = [&](int tiles, int threads) {
+  auto run_with = [&](int tiles, int threads, bool incremental,
+                      core::RouterStats& stats) {
     grid::RoutingGrid grid(design);
     core::RouterConfig cfg;
     cfg.shard_tiles = tiles;
     cfg.rrr_threads = threads;
+    cfg.incremental_conflicts = incremental;
     core::MrTplRouter router(design, &guides, cfg);
     const grid::Solution sol = router.run(grid);
+    stats = router.stats();
     return io::solution_to_string(grid, sol);
   };
-  const std::string reference = run_with(1, 1);
+  core::RouterStats ref;
+  const std::string reference = run_with(1, 1, false, ref);
   for (const int tiles : {1, 4, 16}) {
     for (const int threads : {1, 2, 8}) {
-      EXPECT_EQ(run_with(tiles, threads), reference)
-          << "tiles " << tiles << " threads " << threads << " seed "
-          << GetParam();
+      for (const bool incremental : {false, true}) {
+        const std::string config = "tiles " + std::to_string(tiles) + " threads " +
+                                   std::to_string(threads) + " incremental " +
+                                   std::to_string(incremental) + " seed " +
+                                   std::to_string(GetParam());
+        core::RouterStats stats;
+        EXPECT_EQ(run_with(tiles, threads, incremental, stats), reference) << config;
+        EXPECT_EQ(stats.relaxations, ref.relaxations) << config;
+        EXPECT_EQ(stats.relaxations_per_pass, ref.relaxations_per_pass) << config;
+        EXPECT_EQ(std::accumulate(stats.relaxations_per_pass.begin(),
+                                  stats.relaxations_per_pass.end(), std::uint64_t{0}),
+                  stats.relaxations)
+            << config;
+      }
     }
   }
 }
@@ -147,80 +164,11 @@ TEST_P(ShardSweepDeterminism, AnyTileThreadConfigMatchesSerialReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardSweepDeterminism,
                          ::testing::Values(10, 20, 30));
 
-/// The RRR executor's batch assignment moved from O(k²) pairwise
-/// rectangle tests onto a geom::SpatialGrid overlap query (ROADMAP
-/// "Batch-scheduler locality"). The two implementations must stay
-/// BYTE-IDENTICAL — the schedule feeds the parallel executor, so any
-/// divergence would silently break the thread-count-invariance contract
-/// the sweeps above pin.
-class BatchScheduleEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BatchScheduleEquivalence, SpatialGridMatchesQuadraticOracle) {
-  util::Rng rng(GetParam());
-  // Window populations mirroring the executor's inputs: many small local
-  // windows, some die-spanning ones, duplicates, and containment chains.
-  for (const int count : {0, 1, 2, 17, 100, 400}) {
-    std::vector<geom::Rect> windows;
-    windows.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-      const bool wide = rng.next_bool(0.15);
-      const int w = wide ? rng.next_int(40, 120) : rng.next_int(2, 18);
-      const int h = wide ? rng.next_int(40, 120) : rng.next_int(2, 18);
-      const int x = rng.next_int(0, 140 - w);
-      const int y = rng.next_int(0, 140 - h);
-      windows.push_back({x, y, x + w - 1, y + h - 1});
-      if (rng.next_bool(0.1)) windows.push_back(windows.back());  // duplicate
-    }
-    for (const int halo : {0, 2, 5}) {
-      EXPECT_EQ(core::schedule_batches(windows, halo),
-                core::schedule_batches_quadratic(windows, halo))
-          << "seed " << GetParam() << " count " << count << " halo " << halo;
-    }
-  }
-}
-
-TEST_P(BatchScheduleEquivalence, MatchesOracleOnGeneratedCaseFootprints) {
-  // The real input shape: per-net raw search windows of a generated case,
-  // in routing order, with the executor's one-sided interaction halo.
-  const db::Design design = benchgen::generate(spec_of(GetParam()));
-  std::vector<geom::Rect> windows;
-  for (const auto& net : design.nets())
-    windows.push_back(net.bbox().inflated(6).intersected(design.die()));
-  for (const int halo : {0, 2, 5}) {
-    EXPECT_EQ(core::schedule_batches(windows, halo),
-              core::schedule_batches_quadratic(windows, halo))
-        << "halo " << halo;
-  }
-}
-
-TEST_P(BatchScheduleEquivalence, HaloParamMatchesPreInflatedGapBound) {
-  // Sanity on the Minkowski argument: inflating ONE side by h tests
-  // gap <= h, which must be at least as tight as the legacy both-sides
-  // inflation (gap <= 2h) — batch depths can only shrink.
-  util::Rng rng(GetParam() ^ 0xABCD);
-  std::vector<geom::Rect> windows;
-  for (int i = 0; i < 120; ++i) {
-    const int w = rng.next_int(2, 20), h = rng.next_int(2, 20);
-    const int x = rng.next_int(0, 120 - w), y = rng.next_int(0, 120 - h);
-    windows.push_back({x, y, x + w - 1, y + h - 1});
-  }
-  const int halo = 3;
-  std::vector<geom::Rect> legacy;
-  for (const auto& wdw : windows) legacy.push_back(wdw.inflated(halo));
-  const auto tight = core::schedule_batches_quadratic(windows, halo);
-  const auto loose = core::schedule_batches_quadratic(legacy);
-  for (size_t i = 0; i < windows.size(); ++i)
-    EXPECT_LE(tight[i], loose[i]) << "window " << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchScheduleEquivalence,
-                         ::testing::Values(10, 20, 30));
-
 /// The determinism contract of the search hot path (README "Search hot
 /// path"): the bucket queue and the legacy heap implement the same
 /// (quantized key, push sequence) pop order, and the precomputed
 /// congestion field is an exact stand-in for the window scan — so ALL
-/// four engine combinations, at every thread count, must serialize
+/// four engine combinations, serial or on the tile walk, must serialize
 /// byte-identically. This is what lets `bench_search_micro --compare`
 /// measure old-vs-new on guaranteed-equal outputs.
 class EngineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -235,6 +183,7 @@ TEST_P(EngineEquivalence, QueueAndCongestionEnginesAreByteIdentical) {
     cfg.use_bucket_queue = bucket;
     cfg.precomputed_congestion = field;
     cfg.rrr_threads = threads;
+    cfg.shard_tiles = threads > 1 ? 4 : 1;
     core::MrTplRouter router(design, &guides, cfg);
     const grid::Solution sol = router.run(grid);
     return io::solution_to_string(grid, sol);
@@ -281,6 +230,7 @@ TEST_P(ConfigDeterminism, MrTplRunIsByteIdentical) {
   auto run_once = [&](int threads) {
     core::RouterConfig cfg = config_of(GetParam());
     cfg.rrr_threads = threads;
+    cfg.shard_tiles = threads > 1 ? 4 : 1;
     grid::RoutingGrid grid(design);
     core::MrTplRouter router(design, &guides, cfg);
     const grid::Solution sol = router.run(grid);
@@ -288,8 +238,9 @@ TEST_P(ConfigDeterminism, MrTplRunIsByteIdentical) {
   };
   const std::string serial = run_once(1);
   EXPECT_EQ(serial, run_once(1)) << "config bits " << GetParam();
-  // The batched executor must be invisible under every toggle combo.
-  EXPECT_EQ(serial, run_once(8)) << "config bits " << GetParam() << " threads 8";
+  // The tile walk must be invisible under every toggle combo.
+  EXPECT_EQ(serial, run_once(8)) << "config bits " << GetParam()
+                                 << " tiles 4 threads 8";
 }
 
 // Bits 0-15 cover every combination of the four boolean toggles; 16-47

@@ -38,10 +38,13 @@ benchgen::CaseSpec small_spec(std::uint64_t seed) {
   return spec;
 }
 
+/// Threaded runs use a 2x2 tiling: the tile walk is the only parallel
+/// executor, and its reconciliation walk hosts the kSpecInvalidate site.
 grid::Solution route(const db::Design& design, int threads, int rrr,
                      grid::RoutingGrid& grid, core::RouterStats* stats = nullptr) {
   core::RouterConfig cfg;
   cfg.rrr_threads = threads;
+  cfg.shard_tiles = threads > 1 ? 4 : 1;
   cfg.max_rrr_iterations = rrr;
   core::MrTplRouter router(design, nullptr, cfg);
   grid::Solution solution = router.run(grid);
@@ -179,7 +182,7 @@ TEST_F(FaultInjectorTest, ForcedSpeculationInvalidationKeepsOutputIdentical) {
   const grid::Solution ref = route(design, 1, 3, grid_ref);
   const std::string ref_text = io::solution_to_string(grid_ref, ref);
 
-  // Force EVERY speculation stale: the parallel executor redoes each net
+  // Force EVERY speculation stale: the tile walk redoes each net
   // serially, which must reproduce the serial result byte for byte.
   auto& inj = FaultInjector::instance();
   ASSERT_TRUE(inj.configure("spec_invalidate:1"));

@@ -2,8 +2,9 @@
 /// Deadline-enforced routing with graceful degradation (route_budget.hpp):
 ///  - an unlimited / never-tripping budget is invisible (byte-identical
 ///    output to the unbudgeted path);
-///  - a relaxation budget degrades DETERMINISTICALLY: same solution for
-///    every thread count, kDegraded status, accurate per-net dispositions;
+///  - a relaxation budget degrades DETERMINISTICALLY: same solution
+///    serially and on the tile walk at every thread count, kDegraded
+///    status, accurate per-net dispositions;
 ///  - a pre-set cancel flag / microscopic deadline stop the run before it
 ///    routes anything, still returning a structurally consistent layout.
 
@@ -30,10 +31,12 @@ benchgen::CaseSpec congested_spec(std::uint64_t seed) {
   return spec;
 }
 
+/// Threaded configs run the tile walk (2x2 tiles); threads=1 is serial.
 RouterConfig base_config(int threads = 1) {
   RouterConfig cfg;
   cfg.max_rrr_iterations = 4;
   cfg.rrr_threads = threads;
+  cfg.shard_tiles = threads > 1 ? 4 : 1;
   return cfg;
 }
 

@@ -224,9 +224,10 @@ TEST(SearchArenaReuse, AlternatingSearchesShareOneArena) {
   }
 }
 
-/// End-to-end reuse sanity at router scale: the speculative executor's
-/// per-worker arenas route the same solution whether the run is the
-/// first or the hundredth use of the worker state. (The router rebuilds
+/// End-to-end reuse sanity at router scale: the tile walk's per-worker
+/// arenas (shared by the worker's base-grid search and its tile views)
+/// route the same solution whether the run is the first or the
+/// hundredth use of the worker state. (The router rebuilds
 /// workers per run; this guards the arena against *intra*-run drift by
 /// comparing two identically configured runs that exercise thousands of
 /// sessions per arena.)
@@ -238,6 +239,7 @@ TEST(SearchArenaReuse, RouterRunsAreStableUnderArenaReuse) {
     grid::RoutingGrid grid(design);
     core::RouterConfig cfg;
     cfg.rrr_threads = 2;
+    cfg.shard_tiles = 4;
     core::MrTplRouter router(design, &guides, cfg);
     const grid::Solution sol = router.run(grid);
     return io::solution_to_string(grid, sol);

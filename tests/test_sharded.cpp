@@ -1,5 +1,5 @@
 /// \file test_sharded.cpp
-/// The tile-sharded executor (core::ShardedRouter / route_list_sharded):
+/// The tile-sharded executor (MrTplRouter's tile walk):
 /// TilePlan partition/ownership invariants, and the headline contract —
 /// the sharded solution is byte-identical to the unsharded serial run for
 /// every (tiles, threads) configuration.
@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/generator.hpp"
-#include "core/sharded_router.hpp"
+#include "core/mrtpl_router.hpp"
 #include "global/global_router.hpp"
 #include "io/solution_io.hpp"
 #include "shard/tile_plan.hpp"
@@ -73,20 +73,6 @@ TEST(TilePlan, OwnershipRule) {
   EXPECT_EQ(plan.owner_of({0, 0, 49, 49}, 1), shard::TilePlan::kBoundary);
 }
 
-TEST(ShardedRouter, NormalizesConfig) {
-  const db::Design design = benchgen::generate(test::sized_case(24, 8, 3));
-  core::RouterConfig cfg;
-  cfg.shard_tiles = 0;
-  core::ShardedRouter a(design, nullptr, cfg);
-  EXPECT_EQ(a.config().shard_tiles, 1);
-  EXPECT_EQ(a.config().rrr_threads, 1);  // no sharding, no forced pool
-  cfg.shard_tiles = 9;
-  core::ShardedRouter b(design, nullptr, cfg);
-  EXPECT_EQ(b.config().shard_tiles, 9);
-  EXPECT_GE(b.config().rrr_threads, 2) << "sharding is inert without a pool";
-  EXPECT_EQ(b.plan().grid_dim(), 3);
-}
-
 /// The headline byte-identity contract, on a die large enough that the
 /// 4x4 plan actually classifies interior nets (margin 6 + halo windows
 /// need room inside a tile).
@@ -96,6 +82,7 @@ TEST_P(ShardSweep, EveryTileThreadConfigMatchesSerialReference) {
   const db::Design design = benchgen::generate(test::sized_case(96, 110, GetParam()));
   global::GlobalRouter gr(design);
   const global::GuideSet guides = gr.route_all();
+  core::RouterStats stats;
   auto run_with = [&](int tiles, int threads) {
     grid::RoutingGrid grid(design);
     core::RouterConfig cfg;
@@ -103,6 +90,7 @@ TEST_P(ShardSweep, EveryTileThreadConfigMatchesSerialReference) {
     cfg.rrr_threads = threads;
     core::MrTplRouter router(design, &guides, cfg);
     const grid::Solution sol = router.run(grid);
+    stats = router.stats();
     return io::solution_to_string(grid, sol);
   };
   const std::string reference = run_with(1, 1);
@@ -111,17 +99,12 @@ TEST_P(ShardSweep, EveryTileThreadConfigMatchesSerialReference) {
       EXPECT_EQ(run_with(tiles, threads), reference)
           << "tiles " << tiles << " threads " << threads << " seed "
           << GetParam();
+      // The walk must actually keep speculations, or the equality above
+      // would only compare serial redos with the serial run.
+      EXPECT_GT(stats.speculated, 0) << "tiles " << tiles << " threads " << threads;
+      EXPECT_GE(stats.speculated, stats.respeculated);
     }
   }
-  // The facade drives the same executor.
-  grid::RoutingGrid grid(design);
-  core::RouterConfig cfg;
-  cfg.shard_tiles = 16;
-  core::ShardedRouter router(design, &guides, cfg);
-  const grid::Solution sol = router.run(grid);
-  EXPECT_EQ(io::solution_to_string(grid, sol), reference);
-  EXPECT_GT(router.stats().speculated, 0);
-  EXPECT_GE(router.stats().speculated, router.stats().respeculated);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardSweep, ::testing::Values(11, 21));

@@ -18,11 +18,10 @@
 ///       [--threads N] [--tiles K] [--rescan-conflicts] [--deadline S]
 ///       [--max-relax N]
 ///       Route a saved design, print metrics, optionally dump artifacts.
-///       --threads N routes RRR batches of disjoint-window nets on N
-///       workers (output is byte-identical to --threads 1); --tiles K
-///       shards the die into ~sqrt(K)² tiles routed via per-tile grid
-///       views (core::ShardedRouter; output is byte-identical for every
-///       tiles/threads combination, and only engages with --threads >= 2);
+///       --tiles K --threads N shards the die into ~sqrt(K)² tiles and
+///       routes each pass on N workers via per-tile grid views (the tile
+///       walk; parallel from K >= 4). --threads alone routes serially.
+///       Output is byte-identical for every tiles/threads combination;
 ///       --rescan-conflicts swaps the incremental conflict engine for the
 ///       full-rescan debug oracle. --deadline / --max-relax bound the run
 ///       (route_budget.hpp); a degraded result exits 4.
@@ -885,6 +884,8 @@ int run(const std::vector<std::string>& argv) {
                "           [--solution file] [--svg file] [--no-guides] [--rrr N]\n"
                "           [--threads N] [--tiles K] [--rescan-conflicts]\n"
                "           [--deadline S] [--max-relax N]  (degraded result: exit 4)\n"
+               "           Parallel routing needs --tiles K (K >= 4) with\n"
+               "           --threads N; --threads alone routes serially.\n"
                "  eval     --design <file> --solution <file>\n"
                "  verify   --design <file> --solution <file> [--no-color-check]\n"
                "  refine   --design <file> --solution <file> [--out file]\n"
