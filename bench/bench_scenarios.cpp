@@ -8,7 +8,7 @@
 ///   {"scenario":"hotspot_twin_peaks","family":"congestion","status":"pass",
 ///    "nets":48,"conflicts":0,"stitches":..,"wirelength":..,"vias":..,
 ///    "failed_nets":0,"drc_clean":true,"detect_s":..,"route_s":..,
-///    "total_s":..,"note":""}
+///    "total_s":..,"note":"","nproc":4,"build":"Release"}
 ///
 /// Usage: bench_scenarios [--quick] [--filter <substr>] [--threads N]
 ///   --quick    run each scenario's scaled-down CI variant
@@ -21,10 +21,12 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 
 #include "io/json_report.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
+#include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace mrtpl;
@@ -56,7 +58,14 @@ int main(int argc, char** argv) {
 
   const scenario::ScenarioRunner runner(options);
   const auto results = runner.run_all(selection, [](const auto& result) {
-    io::write_scenario_line(std::cout, scenario::ScenarioRunner::report_of(result));
+    // The report line plus host provenance: a 1-core or Debug figure must
+    // not pass for a result.
+    std::string line =
+        io::scenario_line_to_string(scenario::ScenarioRunner::report_of(result));
+    line.insert(line.rfind('}'),
+                util::format(",\"nproc\":%u,\"build\":\"%s\"",
+                             std::thread::hardware_concurrency(), MRTPL_BUILD_TYPE));
+    std::cout << line;
     std::cout.flush();
     std::fprintf(stderr, "[scenarios] %-24s %-10s %s\n", result.name.c_str(),
                  scenario::to_string(result.status), result.note.c_str());

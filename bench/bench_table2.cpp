@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[table2] %s ...\n", spec.name.c_str());
     const bench::CaseContext ctx = bench::prepare_case(spec);
     const bench::FlowResult base = bench::run_dac12(ctx);
-    const bench::FlowResult ours = bench::run_mrtpl(ctx);
+    const bench::FlowResult ours = bench::run_mrtpl(ctx, bench::paper_config());
 
     table.add_row({spec.name,
                    std::to_string(base.metrics.conflicts),

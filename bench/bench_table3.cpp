@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[table3] %s ...\n", spec.name.c_str());
     const bench::CaseContext ctx = bench::prepare_case(spec);
     const bench::FlowResult dec = bench::run_decompose(ctx);
-    const bench::FlowResult ours = bench::run_mrtpl(ctx);
+    const bench::FlowResult ours = bench::run_mrtpl(ctx, bench::paper_config());
 
     table.add_row({spec.name,
                    std::to_string(dec.metrics.conflicts),

@@ -36,6 +36,15 @@ inline CaseContext prepare_case(const benchgen::CaseSpec& spec) {
   return ctx;
 }
 
+/// Configuration of the paper-table harnesses (bench_table2/table3): the
+/// color-state search runs as Algorithm 2 is published — plain Dijkstra,
+/// not the default A* — so the reproduced tables do not move with it.
+inline core::RouterConfig paper_config() {
+  core::RouterConfig config;
+  config.use_astar = false;
+  return config;
+}
+
 /// Mr.TPL flow (Table II "ours", Table III "ours").
 inline FlowResult run_mrtpl(const CaseContext& ctx,
                             core::RouterConfig config = {}) {
@@ -75,12 +84,14 @@ inline FlowResult run_dac12(const CaseContext& ctx,
 }
 
 /// Route-then-decompose flow (Table III "[2]"): colorless routing (the
-/// Dr.CU stand-in) followed by OpenMPL-style decomposition.
+/// Dr.CU stand-in, on the paper_config() search) followed by
+/// OpenMPL-style decomposition.
 inline FlowResult run_decompose(const CaseContext& ctx,
                                 baseline::DecomposerConfig dconfig = {}) {
   grid::RoutingGrid grid(ctx.design);
   util::Timer timer;
-  const grid::Solution sol = baseline::route_plain(ctx.design, &ctx.guides, grid);
+  const grid::Solution sol =
+      baseline::route_plain(ctx.design, &ctx.guides, grid, paper_config());
   baseline::decompose(grid, sol, dconfig);
   FlowResult r;
   r.runtime_s = timer.elapsed_s();

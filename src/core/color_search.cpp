@@ -258,7 +258,8 @@ grid::VertexId ColorSearch::search() {
     if (a.stamp[v] != a.epoch || a.closed[v] || item.g > a.cost[v] + kEps) continue;
     if (config_.use_astar && item.round != round_) {
       // The target set changed since this entry was pushed (a pin was
-      // reached), so its f is stale. Re-key against the current targets.
+      // reached), so its f is stale. Re-key against the current targets;
+      // the new key may lie below the queue's cursor, which rewinds.
       push(v, a.cost[v]);
       continue;
     }

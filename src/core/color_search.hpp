@@ -8,6 +8,16 @@
 /// state — a stitch) and keeps the **set of argmin masks** as the new
 /// vertex's state.
 ///
+/// By default the loop runs as A* (RouterConfig::use_astar): queue keys
+/// are g + h, with h the Manhattan distance to the nearest unreached
+/// target times the cheapest step cost (alpha · wire_cost). Every planar
+/// step costs at least that much and vias keep h unchanged, so h is
+/// admissible and consistent: path costs equal Dijkstra's while far fewer
+/// labels are relaxed. When a pin is reached the target set shrinks,
+/// queued keys go stale, and popped entries of an older round are
+/// re-keyed. With use_astar off the loop is Algorithm 2's plain Dijkstra,
+/// which the paper-table harnesses run.
+///
 /// The hot path runs on a SearchArena (search_arena.hpp): epoch-stamped
 /// SoA labels reused across nets without clearing, a stamped target
 /// registry, a per-session guide-cover bitmap, and one of two queue
@@ -127,7 +137,10 @@ class ColorSearch {
   [[nodiscard]] bool guide_covered(int x, int y) const;
 
   /// Admissible lower bound from `v` to the current target set (0 when A*
-  /// is off or no targets remain).
+  /// is off or no targets remain): a scan for the nearest target. The
+  /// O(1) distance to the targets' bounding box was measured slower end
+  /// to end (it prunes less on spread-out multi-pin nets), so the scan
+  /// stays.
   [[nodiscard]] double heuristic(grid::VertexId v) const;
   void push(grid::VertexId v, double g);
   [[nodiscard]] QueueItem pop_item();

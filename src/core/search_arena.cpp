@@ -9,13 +9,19 @@
 namespace mrtpl::core {
 
 void BucketQueue::clear() {
-  for (const std::uint32_t b : touched_) {
-    buckets_[b].items.clear();
-    buckets_[b].head = 0;
-    words_[b / 64] = 0;
-    summary_[b / 4096] = 0;
+  // Only non-empty buckets hold a head to reset, and the occupancy bitmap
+  // lists exactly those; every node then returns to the pool at once.
+  for (std::uint32_t sw = 0; sw < kNumBuckets / 4096; ++sw) {
+    for (std::uint64_t s = summary_[sw]; s != 0; s &= s - 1) {
+      const std::uint32_t w = sw * 64 + static_cast<std::uint32_t>(std::countr_zero(s));
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+        buckets_[w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits))].head = kNil;
+      words_[w] = 0;
+    }
+    summary_[sw] = 0;
   }
-  touched_.clear();
+  nodes_.clear();
+  free_ = kNil;
   overflow_.clear();
   in_buckets_ = 0;
   cursor_ = 0;
@@ -37,14 +43,24 @@ void BucketQueue::push(std::uint64_t qkey, const QueueItem& item, std::uint32_t 
     std::push_heap(overflow_.begin(), overflow_.end(), OverflowAfter{});
     return;
   }
+  std::uint32_t n = free_;
+  if (n != kNil) {
+    free_ = nodes_[n].next;
+    nodes_[n] = {item, kNil};
+  } else {
+    n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back({item, kNil});
+  }
   const auto b = static_cast<std::uint32_t>(qkey);
   Bucket& bucket = buckets_[b];
-  if (bucket.head == bucket.items.size()) {  // was empty
-    touched_.push_back(b);
+  if (bucket.head == kNil) {  // was empty
+    bucket.head = n;
     mark_nonempty(b);
-    if (b < cursor_) cursor_ = b;  // A* re-key rewind; never hit by Dijkstra
+    if (b < cursor_) cursor_ = b;  // A* re-key or re-seed rewind
+  } else {
+    nodes_[bucket.tail].next = n;
   }
-  bucket.items.push_back(item);
+  bucket.tail = n;
   ++in_buckets_;
 }
 
@@ -69,13 +85,14 @@ QueueItem BucketQueue::pop() {
   cursor_ = b;
 
   Bucket& bucket = buckets_[b];
-  const QueueItem item = bucket.items[bucket.head++];
+  const std::uint32_t n = bucket.head;
+  Node& node = nodes_[n];
+  const QueueItem item = node.item;
+  bucket.head = node.next;
+  node.next = free_;
+  free_ = n;
   --in_buckets_;
-  if (bucket.head == bucket.items.size()) {
-    bucket.items.clear();
-    bucket.head = 0;
-    mark_empty(b);
-  }
+  if (bucket.head == kNil) mark_empty(b);
   return item;
 }
 

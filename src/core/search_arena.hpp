@@ -14,9 +14,13 @@
 ///    handful of word operations. With the quantum no larger than the
 ///    cheapest edge, a Dijkstra pass never relaxes into the bucket it is
 ///    draining, so the scan cursor moves monotonically; pushes below the
-///    cursor (possible only under A* re-keying) rewind it, which keeps
-///    the structure an *exact* (key, seq) priority queue, not merely an
-///    approximate monotone one.
+///    cursor (A* re-keys, and the cost-0 tree re-seeds between pin
+///    rounds) rewind it, which keeps the structure an *exact* (key, seq)
+///    priority queue, not merely an approximate monotone one. Each
+///    bucket is a singly linked
+///    list over ONE shared, free-listed node pool, so the queue's memory
+///    is its peak live item count — not the sum of every bucket's
+///    high-water mark, which A*'s spread-out f-keys would inflate.
 ///  * HeapQueue: a binary heap ordered by the same (key, seq) pair — the
 ///    legacy std::priority_queue engine, kept as the oracle and as the
 ///    "old" side of `bench_search_micro --compare`.
@@ -45,8 +49,8 @@ struct QueueItem {
 
 /// Flat monotone bucket queue over quantized keys; see the file comment
 /// for the ordering contract. All storage is reused across clear() calls
-/// (vectors keep their capacity), so a search session allocates nothing
-/// once the arena is warm.
+/// (the node pool keeps its capacity), so a search session allocates
+/// nothing once the arena is warm.
 class BucketQueue {
  public:
   /// Keys in [0, kNumBuckets) live in the flat array; larger keys go to
@@ -67,9 +71,18 @@ class BucketQueue {
   QueueItem pop();
 
  private:
+  static constexpr std::uint32_t kNil = ~0u;
+  /// Pool node: an item plus the index of the next node in its bucket
+  /// (or in the free list).
+  struct Node {
+    QueueItem item;
+    std::uint32_t next = kNil;
+  };
+  /// FIFO list of pool nodes; `head == kNil` iff the bucket is empty
+  /// (`tail` is then indifferent).
   struct Bucket {
-    std::vector<QueueItem> items;
-    std::uint32_t head = 0;  ///< first unpopped index (FIFO)
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
   struct OverflowItem {
     std::uint64_t qkey = 0;
@@ -87,7 +100,8 @@ class BucketQueue {
   void mark_empty(std::uint32_t b);
 
   std::vector<Bucket> buckets_;
-  std::vector<std::uint32_t> touched_;  ///< bucket indices to reset on clear()
+  std::vector<Node> nodes_;   ///< the shared pool; live + free nodes
+  std::uint32_t free_ = kNil; ///< free-list head (popped nodes, reused first)
   std::uint64_t words_[kNumBuckets / 64] = {};      ///< bit b: bucket non-empty
   std::uint64_t summary_[kNumBuckets / 4096] = {};  ///< bit w: words_[w] != 0
   std::uint32_t cursor_ = 0;       ///< lower bound on the lowest non-empty bucket

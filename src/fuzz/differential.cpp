@@ -1,11 +1,13 @@
 #include "fuzz/differential.hpp"
 
 #include <exception>
+#include <optional>
 
 #include "baseline/dac12_router.hpp"
 #include "benchgen/generator.hpp"
 #include "core/mrtpl_router.hpp"
 #include "drc/checker.hpp"
+#include "eval/metrics.hpp"
 #include "global/global_router.hpp"
 #include "grid/routing_grid.hpp"
 #include "io/design_io.hpp"
@@ -63,6 +65,7 @@ OracleReport check_design(const db::Design& design, const OracleOptions& options
     return util::format("threads=%d tiles=%d", threads, threads > 1 ? 4 : 1);
   };
   std::string reference;  // serialized solution of thread_counts[0]
+  std::optional<eval::Metrics> reference_metrics;
   for (size_t t = 0; t < options.thread_counts.size(); ++t) {
     const int threads = options.thread_counts[t];
     config.rrr_threads = threads;
@@ -74,6 +77,7 @@ OracleReport check_design(const db::Design& design, const OracleOptions& options
       const std::string serialized = io::solution_to_string(grid, solution);
       if (t == 0) {
         reference = serialized;
+        reference_metrics = eval::evaluate(grid, solution, &guides);
       } else if (serialized != reference) {
         report.findings.push_back(
             {"determinism", "mrtpl " + config_label(threads) + " diverges from " +
@@ -84,6 +88,34 @@ OracleReport check_design(const db::Design& design, const OracleOptions& options
       report.findings.push_back(
           {"router-exception",
            "mrtpl " + config_label(threads) + " threw: " + e.what()});
+    }
+  }
+
+  // The default A* search (the reference run above) against Algorithm 2's
+  // plain Dijkstra on the same design. Equal-cost ties may break
+  // differently, so conflicts get a +2 band; failed nets must match.
+  if (reference_metrics) {
+    core::RouterConfig dijkstra = config;
+    dijkstra.use_astar = false;
+    dijkstra.rrr_threads = 1;
+    dijkstra.shard_tiles = 1;
+    try {
+      grid::RoutingGrid grid(design);
+      core::MrTplRouter router(design, &guides, dijkstra);
+      const grid::Solution solution = router.run(grid);
+      drc_check("mrtpl dijkstra", grid, solution);
+      const eval::Metrics m = eval::evaluate(grid, solution, &guides);
+      if (reference_metrics->failed_nets != m.failed_nets ||
+          reference_metrics->conflicts > m.conflicts + 2)
+        report.findings.push_back(
+            {"astar-vs-dijkstra",
+             util::format("mrtpl A* vs mrtpl Dijkstra: failed nets %d vs %d, "
+                          "conflicts %d vs %d",
+                          reference_metrics->failed_nets, m.failed_nets,
+                          reference_metrics->conflicts, m.conflicts)});
+    } catch (const std::exception& e) {
+      report.findings.push_back(
+          {"router-exception", std::string("mrtpl dijkstra threw: ") + e.what()});
     }
   }
 

@@ -8,6 +8,10 @@
 ///  * determinism — MrTplRouter at every configured thread count must
 ///    serialize byte-identically (the executor's core contract). Thread
 ///    counts > 1 run the tile walk on a 2x2 tiling (shard_tiles = 4).
+///  * A* vs Dijkstra — the default A* search and Algorithm 2's plain
+///    Dijkstra (serial) must both be DRC-clean with equal failed nets,
+///    and A* may have at most 2 more conflicts (equal-cost ties can break
+///    differently). Findings are labelled "astar-vs-dijkstra".
 ///  * structural validity — every produced solution (Mr.TPL and the
 ///    DAC'12 baseline) must pass the independent DRC checker, which
 ///    re-derives connectivity/ownership/coloring from the grid without

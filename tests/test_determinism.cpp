@@ -169,8 +169,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardSweepDeterminism,
 /// (quantized key, push sequence) pop order, and the precomputed
 /// congestion field is an exact stand-in for the window scan — so ALL
 /// four engine combinations, serial or on the tile walk, must serialize
-/// byte-identically. This is what lets `bench_search_micro --compare`
-/// measure old-vs-new on guaranteed-equal outputs.
+/// byte-identically under the default (A*) search. This is what lets
+/// `bench_search_micro --compare` measure old-vs-new on guaranteed-equal
+/// outputs.
 class EngineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EngineEquivalence, QueueAndCongestionEnginesAreByteIdentical) {

@@ -6,7 +6,8 @@
 ///     key, push sequence), lexicographic — including the equal-key FIFO
 ///     tie-break and the overflow range. The routing engines' byte-identity
 ///     rests on this, so it is pinned element-for-element on randomized
-///     push/pop streams.
+///     push/pop streams, Dijkstra-shaped and A*-shaped (the latter
+///     recycling the bucket queue's pooled nodes).
 ///  2. A SearchArena reused across an unbounded sequence of nets (epoch
 ///     stamping, no clearing) behaves exactly like fresh per-net state.
 
@@ -92,6 +93,59 @@ TEST_P(QueueOracle, BucketMatchesHeapElementForElement) {
       ASSERT_FALSE(bucket.empty());
       ASSERT_EQ(bucket.pop().v, heap.pop().v);
     }
+    ASSERT_TRUE(bucket.empty());
+  }
+}
+
+/// A*-shaped key streams: f-keys land anywhere in the 2^16 bucket range,
+/// pushes below the last popped key (heuristic drops, round re-keys)
+/// rewind the cursor often, and push-heavy and pop-heavy phases alternate
+/// so the live set grows and shrinks. Every other session ends with items
+/// still queued, so clear() must reclaim them. Pooled nodes are thereby
+/// recycled across buckets (free list) and across sessions (pool reset);
+/// the pop order must still match the heap element for element.
+TEST_P(QueueOracle, AstarShapedKeysRecyclePooledNodes) {
+  util::Rng rng(GetParam() ^ 0xA57A);
+  BucketQueue bucket;
+  HeapQueue heap;
+  constexpr std::uint32_t kRange = BucketQueue::kNumBuckets;
+  for (int session = 0; session < 8; ++session) {
+    bucket.clear();
+    heap.clear();
+    std::uint32_t seq = 0;
+    std::uint64_t last_pop = 0;
+    const int ops = 3000 + session * 311;
+    for (int op = 0; op < ops; ++op) {
+      const bool pop_heavy = (op / 97) % 2 == 1;
+      const bool do_push = bucket.empty() || rng.next_bool(pop_heavy ? 0.3 : 0.7);
+      if (do_push) {
+        std::uint64_t qkey;
+        const double roll = rng.next_double();
+        if (roll < 0.35) {
+          qkey = rng.next_below(kRange);  // anywhere in the bucket range
+        } else if (roll < 0.70) {
+          qkey = last_pop - std::min<std::uint64_t>(last_pop, rng.next_below(64));
+        } else if (roll < 0.95) {
+          qkey = std::min<std::uint64_t>(last_pop + rng.next_below(8), kRange - 1);
+        } else if (roll < 0.98) {
+          qkey = kRange - 1 - rng.next_below(4);  // top edge of the range
+        } else {
+          qkey = kRange + rng.next_below(1 << 12);  // overflow
+        }
+        const QueueItem item{static_cast<double>(qkey), seq, 0};
+        bucket.push(qkey, item, seq);
+        heap.push(qkey, item, seq);
+        ++seq;
+      } else {
+        const QueueItem a = bucket.pop();
+        const QueueItem b = heap.pop();
+        ASSERT_EQ(a.v, b.v) << "session " << session << " op " << op;
+        last_pop = static_cast<std::uint64_t>(a.g);
+      }
+      ASSERT_EQ(bucket.size(), heap.size());
+    }
+    if (session % 2 == 1) continue;  // leave the rest for clear()
+    while (!heap.empty()) ASSERT_EQ(bucket.pop().v, heap.pop().v);
     ASSERT_TRUE(bucket.empty());
   }
 }
