@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 #include <optional>
 
 #include "core/conflict_index.hpp"
@@ -21,23 +22,24 @@ MrTplRouter::MrTplRouter(const db::Design& design, const global::GuideSet* guide
                          RouterConfig config)
     : design_(design), guides_(guides), config_(config) {}
 
-std::vector<db::NetId> MrTplRouter::net_order() const {
-  std::vector<db::NetId> order;
-  order.reserve(static_cast<size_t>(design_.num_nets()));
-  // Dead nets (zero pins — ECO tombstones) own no metal and are never
-  // routed; run() marks their solution entries trivially routed instead.
-  for (db::NetId id = 0; id < design_.num_nets(); ++id)
-    if (design_.net(id).degree() > 0) order.push_back(id);
-  std::stable_sort(order.begin(), order.end(), [&](db::NetId a, db::NetId b) {
-    const auto& na = design_.net(a);
-    const auto& nb = design_.net(b);
-    const auto ba = na.bbox();
-    const auto bb = nb.bbox();
-    const int ha = ba.width() + ba.height() + 4 * na.degree();
-    const int hb = bb.width() + bb.height() + 4 * nb.degree();
-    return ha < hb;
-  });
-  return order;
+std::vector<db::NetId> route_order(const db::Design& design,
+                                   std::vector<db::NetId> nets) {
+  std::vector<std::pair<int, db::NetId>> keyed;
+  keyed.reserve(nets.size());
+  for (const db::NetId id : nets) {
+    // Dead nets (zero pins — ECO tombstones) own no metal and are never
+    // routed; begin_run marks their solution entries trivially routed.
+    if (id < 0 || id >= design.num_nets()) continue;
+    const db::Net& net = design.net(id);
+    if (net.degree() == 0) continue;
+    const geom::Rect box = net.bbox();
+    keyed.emplace_back(box.width() + box.height() + 4 * net.degree(), id);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  keyed.erase(std::unique(keyed.begin(), keyed.end()), keyed.end());
+  nets.clear();
+  for (const auto& [h, id] : keyed) nets.push_back(id);
+  return nets;
 }
 
 std::vector<grid::VertexId> MrTplRouter::backtrace(const grid::RoutingGrid& grid,
@@ -411,6 +413,7 @@ std::optional<geom::Rect> colors_bbox(
 /// congested cases history-cost detours can make a later iteration worse
 /// than an earlier one — so the driver keeps the best iterate and restores
 /// it at the end instead of returning whatever the last iteration left.
+/// An infinite score marks an empty snapshot: nothing captured yet.
 struct MrTplRouter::LayoutSnapshot {
   grid::Solution solution;
   std::vector<std::vector<grid::Mask>> masks;  ///< parallel to routes[i].vertices()
@@ -611,7 +614,7 @@ void MrTplRouter::begin_run(const RouteBudget& budget, grid::Solution& solution)
   budget_.arm(budget);
   extra_margin_.assign(static_cast<size_t>(design_.num_nets()), 0);
   solution.routes.resize(static_cast<size_t>(design_.num_nets()));
-  // Dead nets never enter net_order() and own no metal (an ECO removal's
+  // Dead nets never enter route_order() and own no metal (an ECO removal's
   // was released by the caller); mark them trivially routed so the
   // failed-net count and the dispositions stay honest.
   for (const auto& net : design_.nets()) {
@@ -647,8 +650,7 @@ void MrTplRouter::capture_checkpoint(const grid::RoutingGrid& grid,
 }
 
 void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
-                           Workers* workers, ConflictIndex* index,
-                           const std::vector<db::NetId>& order, int start_iter,
+                           Workers* workers, ConflictIndex* index, int start_iter,
                            LayoutSnapshot& best, grid::Solution& solution,
                            RouterCheckpoint* pending) {
   auto detect = [&] {
@@ -657,13 +659,35 @@ void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
     stats_.detect_s += t.elapsed_s();
     return conflicts;
   };
-  auto keep_if_best = [&](const std::vector<Conflict>& conflicts) {
-    int failed = 0;
+  auto failed_nets = [&] {
+    std::vector<db::NetId> failed;
     for (const auto& r : solution.routes)
-      if (!r.routed && r.net != db::kNoNet) ++failed;
-    const double score = iterate_score(static_cast<int>(conflicts.size()),
-                                       grid::count_stitches(grid, solution), failed);
-    if (score < best.score) best = LayoutSnapshot::capture(grid, solution, score);
+      if (!r.routed && r.net != db::kNoNet) failed.push_back(r.net);
+    return failed;
+  };
+
+  // Lazy keep-best: the grid's iterate is compared with `best` as it is
+  // reached, but only copied into `best` just before a rip moves the grid
+  // off it. Until something has been captured there is nothing to compare
+  // with, so the first iterate wins unscored — a loop that never rips (a
+  // clean ECO apply) never copies, re-scores or restores the layout.
+  bool grid_is_best = false;   // the grid holds the best iterate so far
+  bool considered = false;     // ... as of the grid's current iterate
+  std::optional<double> grid_score;
+  const auto score_grid = [&](std::size_t conflicts, std::size_t failed) {
+    return iterate_score(static_cast<int>(conflicts),
+                         grid::count_stitches(grid, solution),
+                         static_cast<int>(failed));
+  };
+  const auto consider = [&](std::size_t conflicts, std::size_t failed) {
+    considered = true;
+    grid_score.reset();
+    if (best.score == std::numeric_limits<double>::infinity()) {
+      grid_is_best = true;
+      return;
+    }
+    grid_score = score_grid(conflicts, failed);
+    grid_is_best = *grid_score < best.score;
   };
 
   // Fig. 2 left column: conflict detection + rip-up & reroute with
@@ -674,10 +698,8 @@ void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
     if (budget_.active() && budget_.expired(stats_.relaxations)) break;
     const auto conflicts = detect();
     stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
-    keep_if_best(conflicts);
-    std::vector<db::NetId> failed;
-    for (const auto& r : solution.routes)
-      if (!r.routed && r.net != db::kNoNet) failed.push_back(r.net);
+    const std::vector<db::NetId> failed = failed_nets();
+    consider(conflicts.size(), failed.size());
     if (conflicts.empty() && failed.empty()) break;
     stats_.rrr_iterations = iter + 1;
 
@@ -712,17 +734,24 @@ void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
            blockers_of(grid, design_, id, config_.search_margin + extra))
         rip[static_cast<size_t>(b)] = 1;
     }
-    std::vector<db::NetId> ripped;
-    for (const db::NetId id : failed) {
-      ripped.push_back(id);  // failed nets reroute first, into free space
-      rip[static_cast<size_t>(id)] = 2;
-    }
-    for (const db::NetId id : order)
-      if (rip[static_cast<size_t>(id)] == 1) ripped.push_back(id);
+    std::vector<db::NetId> ripped = failed;  // failed nets reroute first, into free space
+    for (const db::NetId id : failed) rip[static_cast<size_t>(id)] = 2;
+    std::vector<db::NetId> others;
+    for (db::NetId id = 0; id < design_.num_nets(); ++id)
+      if (rip[static_cast<size_t>(id)] == 1) others.push_back(id);
+    for (const db::NetId id : route_order(design_, std::move(others)))
+      ripped.push_back(id);
     if (ripped.empty()) break;
+    if (grid_is_best) {
+      best = LayoutSnapshot::capture(
+          grid, solution,
+          grid_score ? *grid_score : score_grid(conflicts.size(), failed.size()));
+      grid_is_best = false;
+    }
     for (const db::NetId id : ripped)
       grid::release_route(grid, solution.routes[static_cast<size_t>(id)]);
     route_list(grid, search, workers, ripped, solution);
+    considered = false;
     // A success retires the net's widened window: the widening is an
     // escape valve for one failure episode, and letting it stick made
     // every later rip of the net search a window up to the whole die.
@@ -732,16 +761,16 @@ void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
         extra_margin_[static_cast<size_t>(id)] = 0;
     capture_checkpoint(grid, solution, best, iter + 1, pending);
   }
-  // Score the state the loop ended on (the per-iteration scoring above
-  // sees each state *before* its reroute, so the last reroute's result is
-  // still unscored), then keep whichever iterate was best.
+  // Judge the state the loop ended on (the per-iteration check above sees
+  // each state *before* its reroute, so the last reroute's result is still
+  // unjudged), then restore the best iterate unless the grid holds it.
   {
     const auto conflicts = detect();
     if (static_cast<int>(stats_.conflicts_per_iter.size()) == config_.max_rrr_iterations)
       stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
-    keep_if_best(conflicts);
+    if (!considered) consider(conflicts.size(), failed_nets().size());
   }
-  if (!best.masks.empty()) {
+  if (!grid_is_best) {
     best.restore(grid, solution);
     solution = best.solution;
   }
@@ -769,7 +798,6 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
   begin_run(budget, solution);
   ColorSearch search(grid, config_);
   if (budget_.active()) search.set_budget(&budget_);
-  const auto order = net_order();
 
   // Incremental conflict engine: subscribes to the grid's dirty log so
   // each detection pass costs O(rip delta × window), not O(die). The
@@ -817,12 +845,15 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
     capture_checkpoint(grid, solution, best, start_iter, capture);
   } else {
     // Fig. 2 middle column: route every net once.
-    route_list(grid, search, workers.get(), order, solution);
+    std::vector<db::NetId> all(static_cast<size_t>(design_.num_nets()));
+    std::iota(all.begin(), all.end(), 0);
+    route_list(grid, search, workers.get(), route_order(design_, std::move(all)),
+               solution);
     capture_checkpoint(grid, solution, best, 0, capture);
   }
 
-  rrr_loop(grid, search, workers.get(), index.get(), order, start_iter, best,
-           solution, capture);
+  rrr_loop(grid, search, workers.get(), index.get(), start_iter, best, solution,
+           capture);
 
   if (stats_.budget_hit)
     util::warn("mrtpl",
@@ -853,14 +884,7 @@ grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
   // Worklist: the dirty nets in global heuristic order (dedup'd, dead and
   // out-of-range ids dropped). Sessions are strictly serial — no workers —
   // so live apply and journal replay walk the identical code path.
-  std::vector<char> is_dirty(static_cast<size_t>(design_.num_nets()), 0);
-  for (const db::NetId id : dirty)
-    if (id >= 0 && id < design_.num_nets() && design_.net(id).degree() > 0)
-      is_dirty[static_cast<size_t>(id)] = 1;
-  const auto order = net_order();
-  std::vector<db::NetId> work;
-  for (const db::NetId id : order)
-    if (is_dirty[static_cast<size_t>(id)]) work.push_back(id);
+  const std::vector<db::NetId> work = route_order(design_, dirty);
 
   std::unique_ptr<ConflictIndex> own_index;
   if (index == nullptr && config_.incremental_conflicts) {
@@ -874,7 +898,7 @@ grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
   // in practice while remaining globally correct.
   route_list(grid, search, nullptr, work, solution);
   LayoutSnapshot best;
-  rrr_loop(grid, search, nullptr, index, order, 0, best, solution, nullptr);
+  rrr_loop(grid, search, nullptr, index, 0, best, solution, nullptr);
   stats_.runtime_s = timer.elapsed_s();
   return solution.status;
 }

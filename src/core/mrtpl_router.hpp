@@ -67,6 +67,15 @@ struct RouterCheckpoint {
   double best_score = 0.0;  ///< meaningful only when best_masks nonempty
 };
 
+/// Net routing order of `nets`: short, low-degree nets first (key
+/// bbox width + height + 4 · degree), ties by id. Dead (zero-pin) and
+/// out-of-range ids are dropped and duplicates collapse. The id tie-break
+/// makes any subset come out exactly as its filter of the whole design's
+/// order, so the RRR loop and ECO reroutes order a handful of nets
+/// without sorting the design.
+[[nodiscard]] std::vector<db::NetId> route_order(const db::Design& design,
+                                                 std::vector<db::NetId> nets);
+
 /// Mr.TPL router. Construct once per design; `run` routes every net into
 /// the grid (committing vertices and masks) and returns the solution.
 class MrTplRouter {
@@ -175,9 +184,6 @@ class MrTplRouter {
                                                    ColorSearch& search,
                                                    db::NetId net_id) const;
 
-  /// Net routing order: short, low-degree nets first.
-  [[nodiscard]] std::vector<db::NetId> net_order() const;
-
   /// A net's search scope: the guide actually applied (null when absent
   /// or empty) and the window (bbox ∪ guide bbox, inflated by
   /// search_margin, clamped to the die). The single source of truth
@@ -268,12 +274,14 @@ class MrTplRouter {
   /// detection (`index`, or the full-rescan oracle when null), history
   /// update, window widening, blocker sweep, ripped order, reroute, then
   /// the keep-best restore and the final status/failed-net accounting.
-  /// `best` carries the best iterate so far in and out. With `pending`
-  /// non-null, every clean iteration boundary is captured into it.
+  /// `best` carries the best iterate so far in and out; it is captured
+  /// lazily, just before a rip moves the grid off the best iterate, so a
+  /// loop that never rips never copies or re-scores the layout. With
+  /// `pending` non-null, every clean iteration boundary is captured into
+  /// it.
   void rrr_loop(grid::RoutingGrid& grid, ColorSearch& search, Workers* workers,
-                ConflictIndex* index, const std::vector<db::NetId>& order,
-                int start_iter, LayoutSnapshot& best, grid::Solution& solution,
-                RouterCheckpoint* pending);
+                ConflictIndex* index, int start_iter, LayoutSnapshot& best,
+                grid::Solution& solution, RouterCheckpoint* pending);
 
   /// Capture the clean boundary before iteration `next_iter` into
   /// `*pending`. No-op when `pending` is null or the budget has tripped —

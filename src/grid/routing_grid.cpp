@@ -47,7 +47,10 @@ RoutingGrid::RoutingGrid(const db::Design& design)
 }
 
 RoutingGrid::RoutingGrid(const RoutingGrid& base, const geom::Rect& tile)
-    : design_(base.design_), nl_(base.nl_), dcolor_(base.dcolor_) {
+    : design_(base.design_),
+      nl_(base.nl_),
+      dcolor_(base.dcolor_),
+      history_dirty_(base.history_dirty_) {
   const geom::Rect r = tile.intersected(base.bounds());
   if (!r.valid())
     throw std::invalid_argument("RoutingGrid: view window outside base grid");
@@ -225,7 +228,9 @@ void RoutingGrid::rerasterize(int layer, const geom::Rect& region) {
 }
 
 void RoutingGrid::clear_history() {
+  if (!history_dirty_) return;
   std::fill(history_.begin(), history_.end(), 0.0f);
+  history_dirty_ = false;
 }
 
 int RoutingGrid::same_mask_neighbors(VertexId v, Mask m, db::NetId self) const {

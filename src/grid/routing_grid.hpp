@@ -121,7 +121,12 @@ class RoutingGrid {
 
   // ---- negotiated-congestion history ---------------------------------
   [[nodiscard]] double history(VertexId v) const { return history_[v]; }
-  void add_history(VertexId v, double amount) { history_[v] += static_cast<float>(amount); }
+  void add_history(VertexId v, double amount) {
+    history_[v] += static_cast<float>(amount);
+    history_dirty_ = true;
+  }
+  /// Zero every history cost; O(1) when no add_history ran since the
+  /// last clear (a clean ECO apply never adds any).
   void clear_history();
 
   // ---- TPL neighborhood queries ---------------------------------------
@@ -218,6 +223,7 @@ class RoutingGrid {
   std::vector<std::uint8_t> pin_vertex_;  ///< vertex belongs to a pin shape
   std::vector<db::NetId> pin_owner_;      ///< pin net (survives release())
   std::vector<float> history_;
+  bool history_dirty_ = false;  ///< add_history ran since the last clear
   std::vector<std::uint16_t> color_counts_;  ///< 3 per vertex, see accessor
   std::vector<std::uint32_t> colored_of_;    ///< per-net colored-vertex count
   std::vector<VertexId>* dirty_log_ = nullptr;  ///< change log, may be null

@@ -1,6 +1,7 @@
 #include "session/router_session.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/conflict.hpp"
 #include "io/design_io.hpp"
@@ -126,10 +127,17 @@ EditResponse RouterSession::apply_edit(const Edit& edit,
     return resp;
   }
 
-  // Rollback point: the canonical serializations ARE the transaction
-  // snapshot, so rollback exercises the same restore path recovery uses.
-  db::Design saved_design = design_;
-  std::string saved_solution = solution_text();
+  // Rollback point, taken only when a wall deadline can trip: that is the
+  // one outcome that rolls back, and every other apply commits, so they
+  // skip this O(layout) copy. The canonical serializations ARE the
+  // transaction snapshot, so rollback exercises the same restore path
+  // recovery uses.
+  std::optional<db::Design> saved_design;
+  std::string saved_solution;
+  if (deadline_s > 0) {
+    saved_design = design_;
+    saved_solution = solution_text();
+  }
 
   std::vector<db::NetId> dirty;
   std::vector<Region> regions;
@@ -159,7 +167,7 @@ EditResponse RouterSession::apply_edit(const Edit& edit,
   if (status == grid::SolutionStatus::kDegraded && deadline_s > 0) {
     // A wall deadline is non-deterministic; a tripped one rolls the whole
     // transaction back so only replayable state ever commits.
-    rebuild_from(std::move(saved_design), saved_solution);
+    rebuild_from(std::move(*saved_design), saved_solution);
     resp.status = EditStatus::kDeadline;
     resp.note = "deadline tripped; edit rolled back";
     resp.apply_s = clock_() - t0;

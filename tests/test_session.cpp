@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "benchgen/generator.hpp"
+#include "core/conflict.hpp"
 #include "io/parse_error.hpp"
 #include "session/edit.hpp"
 #include "session/invariant_audit.hpp"
@@ -262,6 +264,46 @@ TEST(RouterSession, DeadlineTripRollsTheEditBack) {
   RouterSession fresh(test::parallel_nets_design(2), relaxed);
   EXPECT_EQ(fresh.submit(add_net_edit("late", 0, 3, 2, 13)).status,
             EditStatus::kApplied);
+}
+
+TEST(RouterSession, CleanApplyWorkIsLocal) {
+  // A conflict-free apply costs O(edit): the resident conflict index
+  // re-derives only the vertices the edited nets touched, never the whole
+  // layout (no keep-best restore recommits every route).
+  benchgen::CaseSpec spec;
+  spec.name = "sparse";
+  spec.width = spec.height = 48;
+  spec.num_nets = 40;
+  spec.max_pins = 3;
+  spec.seed = 5;
+  RouterSession session(benchgen::generate(spec), quiet_config());
+  ASSERT_TRUE(core::detect_conflicts(session.grid()).empty());
+  core::ConflictIndex* index = session.conflict_index();
+  ASSERT_NE(index, nullptr);
+  std::size_t layout = 0;
+  for (const auto& r : session.solution().routes) layout += r.vertices().size();
+
+  const db::NetId net = 0;
+  std::size_t touched = session.solution().routes[0].vertices().size();
+  const std::uint64_t before = index->vertices_processed();
+  Edit rm;
+  rm.kind = EditKind::kRemoveNet;
+  rm.net = net;
+  Edit add;
+  add.kind = EditKind::kAddNet;
+  add.name = "readded";
+  add.pins = session.design().net(net).pins;
+  const EditResponse removed = session.submit(rm);
+  ASSERT_EQ(removed.status, EditStatus::kApplied);
+  EXPECT_EQ(removed.conflicts, 0);
+  const EditResponse added = session.submit(add);
+  ASSERT_EQ(added.status, EditStatus::kApplied);
+  EXPECT_EQ(added.conflicts, 0);
+  touched += session.solution().routes.back().vertices().size();
+
+  ASSERT_GT(layout, 8 * touched) << "the layout must dwarf the edit";
+  EXPECT_LE(index->vertices_processed() - before, 2 * touched)
+      << "layout " << layout << " vertices, edit " << touched;
 }
 
 // ---- admission control --------------------------------------------------
