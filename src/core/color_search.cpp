@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace mrtpl::core {
 
@@ -63,8 +65,6 @@ ColorSearch::ColorSearch(const grid::RoutingGrid& grid, RouterConfig config,
   const double min_edge = rules.alpha * std::min(rules.wire_cost, rules.via_cost);
   double quantum = min_edge > 0.0 ? std::min(0.5, min_edge) : 0.5;
   inv_quantum_ = 1.0 / quantum;
-
-  arena_->ensure(grid.num_vertices());
 }
 
 void ColorSearch::begin_net(db::NetId net, const global::NetGuide* guide,
@@ -74,29 +74,30 @@ void ColorSearch::begin_net(db::NetId net, const global::NetGuide* guide,
   // Clamping to the grid's bounds (the die, or a view's window) keeps
   // semantics — every expanded vertex exists in the grid — and lets the
   // expansion loop use the window bounds as the only planar check.
-  window_ = window.intersected(grid_.bounds());
-  arena_->ensure(grid_.num_vertices());
+  slots_ = SlotMap(window.intersected(grid_.bounds()), grid_.num_layers());
+  // The arena holds window × layers labels. Every vertex the session
+  // labels lies in the window — expansion is clamped to it, and sources
+  // and targets outside it are rejected — so the slot mapping is exact.
+  arena_->ensure(slots_.size());
   arena_->begin_session();
   relaxations_ = 0;
   next_budget_check_ = kBudgetCheckInterval;
   interrupted_ = false;
 
-  // Rasterize guide coverage over the window once: relaxations test one
-  // bit instead of walking the guide's box list per step.
-  guide_active_ = guide_ != nullptr && !guide_->boxes.empty() && window_.valid();
+  // Rasterize guide coverage over the window once (one bit per layer-0
+  // slot): relaxations test one bit instead of walking the guide's box
+  // list per step.
+  const geom::Rect& win = slots_.window();
+  guide_active_ = guide_ != nullptr && !guide_->boxes.empty() && win.valid();
   if (guide_active_) {
-    guide_stride_ = window_.width();
-    const std::size_t nbits = static_cast<std::size_t>(window_.area());
+    const std::size_t nbits = static_cast<std::size_t>(win.area());
     arena_->guide_bits.assign((nbits + 63) / 64, 0);
     for (const geom::Rect& box : guide_->boxes) {
-      const geom::Rect c = box.intersected(window_);
+      const geom::Rect c = box.intersected(win);
       if (!c.valid()) continue;
       for (int y = c.lo.y; y <= c.hi.y; ++y) {
-        const std::size_t row =
-            static_cast<std::size_t>(y - window_.lo.y) *
-            static_cast<std::size_t>(guide_stride_);
         for (int x = c.lo.x; x <= c.hi.x; ++x) {
-          const std::size_t bit = row + static_cast<std::size_t>(x - window_.lo.x);
+          const std::uint32_t bit = slots_.slot({0, x, y});
           arena_->guide_bits[bit / 64] |= 1ull << (bit % 64);
         }
       }
@@ -105,19 +106,43 @@ void ColorSearch::begin_net(db::NetId net, const global::NetGuide* guide,
 }
 
 bool ColorSearch::guide_covered(int x, int y) const {
-  const std::size_t bit =
-      static_cast<std::size_t>(y - window_.lo.y) *
-          static_cast<std::size_t>(guide_stride_) +
-      static_cast<std::size_t>(x - window_.lo.x);
+  // The bitmap is indexed by the layer-0 slot of (x, y).
+  const std::uint32_t bit = slots_.slot({0, x, y});
   return (arena_->guide_bits[bit / 64] >> (bit % 64)) & 1u;
 }
 
-void ColorSearch::touch(grid::VertexId v) {
+std::uint32_t ColorSearch::slot_of(grid::VertexId v) const {
+  if (v >= grid_.num_vertices()) return kNoSlot;
   const grid::VertexLoc l = grid_.loc(v);
-  touch(v, l.x, l.y);
-  // Sources / re-seeded tree vertices on TPL layers join the TPL read
-  // footprint: choose_colors scans their Dcolor neighborhoods later.
-  if (tpl_layer_[static_cast<std::size_t>(l.layer)]) touch_tpl(l.x, l.y);
+  return slots_.contains(l) ? slots_.slot(l) : kNoSlot;
+}
+
+std::uint32_t ColorSearch::live_slot(grid::VertexId v) const {
+  const std::uint32_t s = slot_of(v);
+  return s != kNoSlot && arena_->stamp[s] == arena_->epoch ? s : kNoSlot;
+}
+
+std::uint32_t ColorSearch::checked_slot(grid::VertexId v, const char* caller) const {
+  const std::uint32_t s = slot_of(v);
+  if (s == kNoSlot)
+    throw std::out_of_range(std::string("ColorSearch::") + caller + ": vertex " +
+                            std::to_string(v) + " outside the search window");
+  return s;
+}
+
+double ColorSearch::cost(grid::VertexId v) const {
+  const std::uint32_t s = live_slot(v);
+  return s != kNoSlot ? arena_->cost[s] : kInf;
+}
+
+grid::VertexId ColorSearch::prev(grid::VertexId v) const {
+  const std::uint32_t s = live_slot(v);
+  return s != kNoSlot ? arena_->prev[s] : grid::kInvalidVertex;
+}
+
+ColorState ColorSearch::state(grid::VertexId v) const {
+  const std::uint32_t s = live_slot(v);
+  return ColorState(s != kNoSlot ? arena_->state[s] : std::uint8_t{0});
 }
 
 void ColorSearch::touch_tpl(int x, int y) {
@@ -133,14 +158,14 @@ void ColorSearch::touch_tpl(int x, int y) {
   }
 }
 
-void ColorSearch::touch(grid::VertexId v, int x, int y) {
+void ColorSearch::touch(std::uint32_t slot, int x, int y) {
   SearchArena& a = *arena_;
-  if (a.stamp[v] != a.epoch) {
-    a.stamp[v] = a.epoch;
-    a.cost[v] = kInf;
-    a.prev[v] = grid::kInvalidVertex;
-    a.state[v] = 0;
-    a.closed[v] = 0;
+  if (a.stamp[slot] != a.epoch) {
+    a.stamp[slot] = a.epoch;
+    a.cost[slot] = kInf;
+    a.prev[slot] = grid::kInvalidVertex;
+    a.state[slot] = 0;
+    a.closed[slot] = 0;
   }
   if (!a.any_touched) {
     a.any_touched = true;
@@ -154,58 +179,69 @@ void ColorSearch::touch(grid::VertexId v, int x, int y) {
 }
 
 void ColorSearch::add_source(grid::VertexId v, ColorState state) {
-  touch(v);
-  arena_->cost[v] = 0.0;
-  arena_->prev[v] = grid::kInvalidVertex;
-  arena_->state[v] = state.bits();
-  arena_->closed[v] = 0;
-  push(v, 0.0);
+  const std::uint32_t s = checked_slot(v, "add_source");
+  const grid::VertexLoc l = grid_.loc(v);
+  touch(s, l.x, l.y);
+  // Sources / re-seeded tree vertices on TPL layers join the TPL read
+  // footprint: choose_colors scans their Dcolor neighborhoods later.
+  if (tpl_layer_[static_cast<std::size_t>(l.layer)]) touch_tpl(l.x, l.y);
+  SearchArena& a = *arena_;
+  a.cost[s] = 0.0;
+  a.prev[s] = grid::kInvalidVertex;
+  a.state[s] = state.bits();
+  a.closed[s] = 0;
+  push(s, l.x, l.y, 0.0);
+}
+
+void ColorSearch::make_source(grid::VertexId v, ColorState state) {
+  add_source(v, state);
 }
 
 void ColorSearch::add_target(grid::VertexId v, int pin) {
+  const std::uint32_t s = checked_slot(v, "add_target");
   SearchArena& a = *arena_;
-  const bool active = a.target_stamp[v] == a.epoch && a.target_pin[v] >= 0;
-  a.target_stamp[v] = a.epoch;
-  a.target_pin[v] = pin;
-  if (!active) a.target_list.emplace_back(v, pin);
+  const bool active = a.target_stamp[s] == a.epoch && a.target_pin[s] >= 0;
+  a.target_stamp[s] = a.epoch;
+  a.target_pin[s] = pin;
+  if (!active) {
+    const grid::VertexLoc l = grid_.loc(v);
+    a.target_list.push_back({s, l.x, l.y});
+  }
   ++round_;
 }
 
 void ColorSearch::clear_targets_of_pin(int pin) {
   SearchArena& a = *arena_;
-  // a.target_pin[t] is the authoritative pin of every listed vertex (a
+  // a.target_pin[slot] is the authoritative pin of every listed vertex (a
   // re-add overwrites it). Mark first, then compact: duplicates cannot
   // exist (add_target list-inserts only inactive vertices).
-  for (const auto& [t, unused] : a.target_list) {
-    if (a.target_pin[t] == pin) a.target_pin[t] = -1;
+  for (const SearchArena::Target& t : a.target_list) {
+    if (a.target_pin[t.slot] == pin) a.target_pin[t.slot] = -1;
   }
-  std::erase_if(a.target_list,
-                [&a](const std::pair<grid::VertexId, int>& e) {
-                  return a.target_pin[e.first] < 0;
-                });
+  std::erase_if(a.target_list, [&a](const SearchArena::Target& t) {
+    return a.target_pin[t.slot] < 0;
+  });
   ++round_;
 }
 
-double ColorSearch::heuristic(grid::VertexId v) const {
+double ColorSearch::heuristic(int x, int y) const {
   if (!config_.use_astar) return 0.0;
   const SearchArena& a = *arena_;
   if (a.target_list.empty()) return 0.0;
-  const grid::VertexLoc l = grid_.loc(v);
   int best = std::numeric_limits<int>::max();
-  for (const auto& [t, unused] : a.target_list) {
-    const grid::VertexLoc lt = grid_.loc(t);
-    const int d = geom::manhattan({l.x, l.y}, {lt.x, lt.y});
+  for (const SearchArena::Target& t : a.target_list) {
+    const int d = geom::manhattan({x, y}, {t.x, t.y});
     if (d < best) best = d;
   }
   return min_step_cost_ * best;
 }
 
-void ColorSearch::push(grid::VertexId v, double g) {
-  const double f = g + heuristic(v);
+void ColorSearch::push(std::uint32_t slot, int x, int y, double g) {
+  const double f = g + heuristic(x, y);
   // Quantized key: both engines order by (qkey, push seq), so the pop
   // sequence — and therefore the routing output — is engine-independent.
   const auto qkey = static_cast<std::uint64_t>(f * inv_quantum_);
-  const QueueItem item{g, v, round_};
+  const QueueItem item{g, slot, round_};
   if (config_.use_bucket_queue)
     arena_->bucket_queue.push(qkey, item, arena_->seq++);
   else
@@ -223,8 +259,9 @@ QueueItem ColorSearch::pop_item() {
 }
 
 int ColorSearch::target_pin(grid::VertexId v) const {
+  const std::uint32_t s = slot_of(v);
   const SearchArena& a = *arena_;
-  return a.target_stamp[v] == a.epoch ? a.target_pin[v] : -1;
+  return s != kNoSlot && a.target_stamp[s] == a.epoch ? a.target_pin[s] : -1;
 }
 
 grid::VertexId ColorSearch::search() {
@@ -240,6 +277,10 @@ grid::VertexId ColorSearch::search() {
   const int nl = grid_.num_layers();
   const auto layer_stride =
       static_cast<grid::VertexId>(nx) * static_cast<grid::VertexId>(grid_.size_y());
+  const geom::Rect& window = slots_.window();
+  // Slot strides of the session's window: 1 per x, w per y, w·h per layer.
+  const std::uint32_t w = slots_.width();
+  const std::uint32_t plane = slots_.plane();
 
   while (!queue_empty()) {
     // Cooperative cancellation: poll the deadline/cancel flag once per
@@ -254,46 +295,52 @@ grid::VertexId ColorSearch::search() {
       }
     }
     const QueueItem item = pop_item();
-    const grid::VertexId v = item.v;
-    if (a.stamp[v] != a.epoch || a.closed[v] || item.g > a.cost[v] + kEps) continue;
+    const std::uint32_t sv = item.slot;
+    if (a.stamp[sv] != a.epoch || a.closed[sv] || item.g > a.cost[sv] + kEps) continue;
+    // Decode the slot into the global position (and id) once per pop.
+    const grid::VertexLoc from_loc = slots_.loc(sv);
     if (config_.use_astar && item.round != round_) {
       // The target set changed since this entry was pushed (a pin was
       // reached), so its f is stale. Re-key against the current targets;
       // the new key may lie below the queue's cursor, which rewinds.
-      push(v, a.cost[v]);
+      push(sv, from_loc.x, from_loc.y, a.cost[sv]);
       continue;
     }
+    const grid::VertexId v = grid_.vertex(from_loc);
     // Algorithm 2 lines 4–7: reaching a vertex covered by an unreached pin
     // terminates this round.
-    if (a.target_stamp[v] == a.epoch && a.target_pin[v] >= 0) return v;
-    a.closed[v] = 1;
+    if (a.target_stamp[sv] == a.epoch && a.target_pin[sv] >= 0) return v;
+    a.closed[sv] = 1;
 
-    const grid::VertexLoc from_loc = grid_.loc(v);
-    const ColorState from_state(a.state[v]);
-    const double g_v = a.cost[v];
+    const ColorState from_state(a.state[sv]);
+    const double g_v = a.cost[sv];
 
     for (int d = 0; d < grid::kNumDirs; ++d) {
       const auto dir = static_cast<grid::Dir>(d);
-      // Neighbor ids arithmetically; the window check below subsumes die
-      // bounds for planar moves (window_ is clamped to the die).
+      // Neighbor ids and slots arithmetically; the window check below
+      // subsumes die bounds for planar moves (the window is clamped to
+      // the die), and guards every slot before it is used.
       int tx = from_loc.x, ty = from_loc.y, tl = from_loc.layer;
       grid::VertexId u;
+      std::uint32_t su;
       switch (dir) {
-        case grid::Dir::East: ++tx; u = v + 1; break;
-        case grid::Dir::West: --tx; u = v - 1; break;
-        case grid::Dir::North: ++ty; u = v + static_cast<grid::VertexId>(nx); break;
-        case grid::Dir::South: --ty; u = v - static_cast<grid::VertexId>(nx); break;
-        case grid::Dir::Up: ++tl; u = v + layer_stride; break;
-        default: --tl; u = v - layer_stride; break;  // Down
+        case grid::Dir::East: ++tx; u = v + 1; su = sv + 1; break;
+        case grid::Dir::West: --tx; u = v - 1; su = sv - 1; break;
+        case grid::Dir::North:
+          ++ty; u = v + static_cast<grid::VertexId>(nx); su = sv + w; break;
+        case grid::Dir::South:
+          --ty; u = v - static_cast<grid::VertexId>(nx); su = sv - w; break;
+        case grid::Dir::Up: ++tl; u = v + layer_stride; su = sv + plane; break;
+        default: --tl; u = v - layer_stride; su = sv - plane; break;  // Down
       }
       if (tl < 0 || tl >= nl) continue;
-      if (tx < window_.lo.x || tx > window_.hi.x || ty < window_.lo.y ||
-          ty > window_.hi.y)
+      if (tx < window.lo.x || tx > window.hi.x || ty < window.lo.y ||
+          ty > window.hi.y)
         continue;
       if (grid_.blocked(u)) continue;
       const db::NetId owner = grid_.owner(u);
       if (owner != db::kNoNet && owner != net_) continue;  // hard overlap rule
-      touch(u, tx, ty);
+      touch(su, tx, ty);
       // Closed vertices may be *reopened* on a strict improvement: after
       // the routed tree is re-seeded at cost 0 (Algorithm 3 lines 17–18),
       // labels computed from the previous, farther sources are stale
@@ -359,29 +406,20 @@ grid::VertexId ColorSearch::search() {
 
       const double new_cost = g_v + move_cost;
       ++relaxations_;
-      if (new_cost < a.cost[u] - kEps) {
-        a.cost[u] = new_cost;
-        a.prev[u] = v;
-        a.state[u] = new_state;
-        a.closed[u] = 0;
-        push(u, new_cost);
-      } else if (new_cost < a.cost[u] + kEps && a.prev[u] == v) {
+      if (new_cost < a.cost[su] - kEps) {
+        a.cost[su] = new_cost;
+        a.prev[su] = v;
+        a.state[su] = new_state;
+        a.closed[su] = 0;
+        push(su, tx, ty, new_cost);
+      } else if (new_cost < a.cost[su] + kEps && a.prev[su] == v) {
         // Equal-cost relaxation from the same predecessor: merge the
         // argmin sets (set-based color-state merging).
-        a.state[u] |= new_state;
+        a.state[su] |= new_state;
       }
     }
   }
   return grid::kInvalidVertex;
-}
-
-void ColorSearch::make_source(grid::VertexId v, ColorState state) {
-  touch(v);
-  arena_->cost[v] = 0.0;
-  arena_->prev[v] = grid::kInvalidVertex;
-  arena_->state[v] = state.bits();
-  arena_->closed[v] = 0;
-  push(v, 0.0);
 }
 
 }  // namespace mrtpl::core

@@ -19,8 +19,9 @@
 /// which the paper-table harnesses run.
 ///
 /// The hot path runs on a SearchArena (search_arena.hpp): epoch-stamped
-/// SoA labels reused across nets without clearing, a stamped target
-/// registry, a per-session guide-cover bitmap, and one of two queue
+/// SoA labels reused across nets without clearing and indexed by
+/// window-local slots — O(window × layers) memory, not O(die) — a stamped
+/// target registry, a per-session guide-cover bitmap, and one of two queue
 /// engines — the flat monotone bucket queue (default) or the legacy
 /// binary heap — both popping in the SAME (quantized key, push sequence)
 /// order, so routing output is byte-identical across engines. Per-die
@@ -52,16 +53,20 @@ class ColorSearch {
   ColorSearch(const grid::RoutingGrid& grid, RouterConfig config,
               SearchArena& arena);
 
-  /// Start a search session for `net`. `window` hard-clamps expansion;
-  /// `guide` (may be null) adds out-of-guide penalties. Resets the
-  /// relaxation counter and retires all labels of the previous session.
+  /// Start a search session for `net`. `window` hard-clamps expansion and
+  /// fixes the session's slot mapping (the arena grows to the clamped
+  /// window's area × layers); `guide` (may be null) adds out-of-guide
+  /// penalties. Resets the relaxation counter and retires all labels of
+  /// the previous session.
   void begin_net(db::NetId net, const global::NetGuide* guide, geom::Rect window);
 
   /// Seed a source vertex with cost 0 and the given state (Algorithm 1
-  /// lines 4–8 use ColorState::all()).
+  /// lines 4–8 use ColorState::all()). Throws std::out_of_range when `v`
+  /// lies outside the session's window (it would have no slot).
   void add_source(grid::VertexId v, ColorState state);
 
-  /// Register vertex `v` as belonging to (unreached) pin `pin`.
+  /// Register vertex `v` as belonging to (unreached) pin `pin`. Throws
+  /// std::out_of_range when `v` lies outside the session's window.
   void add_target(grid::VertexId v, int pin);
   /// Remove all target vertices of a pin once it is reached.
   void clear_targets_of_pin(int pin);
@@ -86,21 +91,21 @@ class ColorSearch {
   /// How many relaxations pass between budget polls inside search().
   static constexpr std::uint64_t kBudgetCheckInterval = 4096;
 
-  /// Pin id that vertex `v` targets, or -1.
+  /// Pin id that vertex `v` targets, or -1 (always -1 outside the window).
   [[nodiscard]] int target_pin(grid::VertexId v) const;
 
   // ---- label accessors (used by backtrace) ---------------------------
-  [[nodiscard]] double cost(grid::VertexId v) const { return arena_->cost[v]; }
-  [[nodiscard]] grid::VertexId prev(grid::VertexId v) const { return arena_->prev[v]; }
-  [[nodiscard]] ColorState state(grid::VertexId v) const {
-    return ColorState(arena_->state[v]);
-  }
-  [[nodiscard]] bool visited(grid::VertexId v) const {
-    return arena_->stamp[v] == arena_->epoch;
-  }
+  // Global ids in, mapped to slots through the grid's loc(). A vertex not
+  // labeled this session — outside the window included — reads as
+  // unvisited: infinite cost, no predecessor, empty state.
+  [[nodiscard]] double cost(grid::VertexId v) const;
+  [[nodiscard]] grid::VertexId prev(grid::VertexId v) const;
+  [[nodiscard]] ColorState state(grid::VertexId v) const;
+  [[nodiscard]] bool visited(grid::VertexId v) const { return live_slot(v) != kNoSlot; }
 
   /// Algorithm 3 lines 17–18: zero the vertex's cost, keep/replace its
   /// state, and re-queue it so the routed tree seeds the next pin search.
+  /// Throws std::out_of_range when `v` lies outside the session's window.
   void make_source(grid::VertexId v, ColorState state);
 
   /// Label relaxations performed since the most recent begin_net — a
@@ -125,24 +130,37 @@ class ColorSearch {
   /// The effective (grid-clamped) window of the current session; the read
   /// footprint of everything except the TPL congestion scans is contained
   /// in it.
-  [[nodiscard]] geom::Rect window() const { return window_; }
+  [[nodiscard]] geom::Rect window() const { return slots_.window(); }
+
+  /// Current label-array length of the arena: the high-water slot count
+  /// (window area × layers) of every session it has served.
+  [[nodiscard]] std::size_t arena_slots() const { return arena_->cost.size(); }
 
  private:
   ColorSearch(const grid::RoutingGrid& grid, RouterConfig config,
               SearchArena* arena);
 
-  void touch(grid::VertexId v);
-  void touch(grid::VertexId v, int x, int y);
+  static constexpr std::uint32_t kNoSlot = ~0u;
+
+  /// slots_.slot of `v`'s location, or kNoSlot when it lies outside the
+  /// window (or the grid).
+  [[nodiscard]] std::uint32_t slot_of(grid::VertexId v) const;
+  /// slot_of(v) when it is labeled this session, else kNoSlot.
+  [[nodiscard]] std::uint32_t live_slot(grid::VertexId v) const;
+  /// slot_of(v), throwing std::out_of_range for an out-of-window vertex.
+  [[nodiscard]] std::uint32_t checked_slot(grid::VertexId v, const char* caller) const;
+
+  void touch(std::uint32_t slot, int x, int y);
   void touch_tpl(int x, int y);
   [[nodiscard]] bool guide_covered(int x, int y) const;
 
-  /// Admissible lower bound from `v` to the current target set (0 when A*
-  /// is off or no targets remain): a scan for the nearest target. The
+  /// Admissible lower bound from (x, y) to the current target set (0 when
+  /// A* is off or no targets remain): a scan for the nearest target. The
   /// O(1) distance to the targets' bounding box was measured slower end
   /// to end (it prunes less on spread-out multi-pin nets), so the scan
   /// stays.
-  [[nodiscard]] double heuristic(grid::VertexId v) const;
-  void push(grid::VertexId v, double g);
+  [[nodiscard]] double heuristic(int x, int y) const;
+  void push(std::uint32_t slot, int x, int y, double g);
   [[nodiscard]] QueueItem pop_item();
   [[nodiscard]] bool queue_empty() const;
 
@@ -161,8 +179,7 @@ class ColorSearch {
   db::NetId net_ = db::kNoNet;
   const global::NetGuide* guide_ = nullptr;
   bool guide_active_ = false;
-  int guide_stride_ = 0;  ///< bitmap row width == window width
-  geom::Rect window_;
+  SlotMap slots_;  ///< the session's clamped window and its slot numbering
 
   SearchArena* arena_ = nullptr;
   std::unique_ptr<SearchArena> owned_arena_;

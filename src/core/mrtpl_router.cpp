@@ -867,6 +867,10 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
     else
       checkpoint->valid = false;  // run completed, or no clean boundary reached
   }
+  stats_.arena_slots = search.arena_slots();
+  if (workers != nullptr)
+    for (const auto& arena : workers->arenas)
+      stats_.arena_slots = std::max(stats_.arena_slots, arena->cost.size());
   stats_.runtime_s = timer.elapsed_s();
   return solution;
 }
@@ -899,6 +903,7 @@ grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
   route_list(grid, search, nullptr, work, solution);
   LayoutSnapshot best;
   rrr_loop(grid, search, nullptr, index, 0, best, solution, nullptr);
+  stats_.arena_slots = search.arena_slots();
   stats_.runtime_s = timer.elapsed_s();
   return solution.status;
 }

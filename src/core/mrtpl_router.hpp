@@ -41,6 +41,11 @@ struct RouterStats {
   int respeculated = 0;               ///< speculations redone serially
   std::uint64_t wasted_relaxations = 0;  ///< search effort of those discards
 
+  /// Largest label-array length (slots) of any SearchArena the run used,
+  /// main search and tile workers alike: the biggest searched window's
+  /// area × layers, never the die's vertex count.
+  std::size_t arena_slots = 0;
+
   /// A RouteBudget bound tripped and stopped the run early; the returned
   /// solution carries SolutionStatus::kDegraded.
   bool budget_hit = false;

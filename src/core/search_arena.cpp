@@ -96,21 +96,23 @@ QueueItem BucketQueue::pop() {
   return item;
 }
 
-void SearchArena::ensure(std::uint32_t num_vertices) {
-  // Fault site kArenaGrow: simulate label-array allocation failure. The
-  // check runs on every ensure call (not only growing ones) so the site
-  // can fire mid-run; callers recover by marking the net failed.
+void SearchArena::ensure(std::uint32_t num_slots) {
+  // Fault site kArenaGrow: simulate label-array allocation failure. Every
+  // ColorSearch::begin_net calls ensure exactly once (with its window's
+  // slot count), and the check runs on every call — not only growing ones
+  // — so the site can fire on any net mid-run; begin_net runs inside the
+  // router's guarded compute, which recovers by marking the net failed.
   if (util::FaultInjector::enabled() &&
       util::FaultInjector::instance().should_fail(util::FaultSite::kArenaGrow))
     throw std::bad_alloc();
-  if (cost.size() >= num_vertices) return;
-  cost.resize(num_vertices);
-  prev.resize(num_vertices);
-  state.resize(num_vertices);
-  closed.resize(num_vertices);
-  stamp.resize(num_vertices, 0);
-  target_pin.resize(num_vertices, -1);
-  target_stamp.resize(num_vertices, 0);
+  if (cost.size() >= num_slots) return;
+  cost.resize(num_slots);
+  prev.resize(num_slots);
+  state.resize(num_slots);
+  closed.resize(num_slots);
+  stamp.resize(num_slots, 0);
+  target_pin.resize(num_slots, -1);
+  target_stamp.resize(num_slots, 0);
 }
 
 void SearchArena::begin_session() {

@@ -4,6 +4,13 @@
 /// label arrays reused across nets via epoch stamping, the stamped target
 /// registry, the rasterized guide-cover bitmap, and the two queue engines.
 ///
+/// Every per-vertex array is indexed by a *window-local slot* (SlotMap),
+/// not by the global vertex id: a search only ever expands inside its
+/// net's clamped window, so the arrays hold O(window × layers) entries —
+/// grown on demand to the largest window the arena has served — instead
+/// of O(die), and neighboring labels sit w or w·h slots apart instead of
+/// a die row or plane.
+///
 /// Both engines implement the SAME total pop order — (quantized key, push
 /// sequence), lexicographic — so the routing output is byte-identical no
 /// matter which one runs:
@@ -39,11 +46,12 @@ namespace mrtpl::core {
 
 /// One queued search label. `g` is the true (unquantized) label value at
 /// push time — the pop-side staleness check compares it against the
-/// current label — and `round` tags the target-set generation the A*
-/// heuristic was computed against.
+/// current label — `slot` is the label's window-local slot (the search
+/// derives the global vertex id from it), and `round` tags the
+/// target-set generation the A* heuristic was computed against.
 struct QueueItem {
   double g = 0.0;
-  grid::VertexId v = grid::kInvalidVertex;
+  std::uint32_t slot = 0;
   std::uint32_t round = 0;
 };
 
@@ -144,15 +152,72 @@ class HeapQueue {
   std::vector<HeapItem> items_;
 };
 
+/// Window-local slot numbering of one search session over a (grid-
+/// clamped) window: slot = layer·(w·h) + (y − y0)·w + (x − x0). Slots of
+/// the window × layers box are exactly [0, size()), and a label's +x, +y
+/// and +layer neighbors sit 1, width() and plane() slots further on. An
+/// empty (!valid()) window maps nothing: size() == 0.
+class SlotMap {
+ public:
+  SlotMap() = default;
+  SlotMap(const geom::Rect& window, int num_layers)
+      : window_(window),
+        w_(window.valid() ? static_cast<std::uint32_t>(window.width()) : 0),
+        h_(window.valid() ? static_cast<std::uint32_t>(window.height()) : 0),
+        plane_(w_ * h_),
+        size_(plane_ * static_cast<std::uint32_t>(num_layers)) {}
+
+  [[nodiscard]] const geom::Rect& window() const { return window_; }
+  [[nodiscard]] std::uint32_t width() const { return w_; }
+  [[nodiscard]] std::uint32_t plane() const { return plane_; }
+  [[nodiscard]] std::uint32_t size() const { return size_; }
+
+  /// True iff `l` lies in the window × layers box.
+  [[nodiscard]] bool contains(const grid::VertexLoc& l) const {
+    return l.layer >= 0 && static_cast<std::uint32_t>(l.layer) * plane_ < size_ &&
+           window_.contains({l.x, l.y});
+  }
+  /// Slot of `l`. Precondition: contains(l).
+  [[nodiscard]] std::uint32_t slot(const grid::VertexLoc& l) const {
+    return static_cast<std::uint32_t>(l.layer) * plane_ +
+           static_cast<std::uint32_t>(l.y - window_.lo.y) * w_ +
+           static_cast<std::uint32_t>(l.x - window_.lo.x);
+  }
+  /// Inverse of slot(). Precondition: s < size().
+  [[nodiscard]] grid::VertexLoc loc(std::uint32_t s) const {
+    const std::uint32_t row = s / w_;
+    const std::uint32_t layer = row / h_;
+    return {static_cast<int>(layer), window_.lo.x + static_cast<int>(s - row * w_),
+            window_.lo.y + static_cast<int>(row - layer * h_)};
+  }
+
+ private:
+  geom::Rect window_{0, 0, -1, -1};
+  std::uint32_t w_ = 0;
+  std::uint32_t h_ = 0;
+  std::uint32_t plane_ = 0;
+  std::uint32_t size_ = 0;
+};
+
 /// Per-worker scratch arena of ColorSearch. One arena serves an unbounded
-/// sequence of nets: begin_session() bumps the epoch instead of clearing
-/// the O(die) label arrays, and every other structure resets in O(touched).
-/// The members are plain data on purpose — ColorSearch owns the semantics;
-/// tests exercise the reuse contract directly.
+/// sequence of nets, each under its own window-to-slot mapping:
+/// begin_session() bumps the epoch instead of clearing the label arrays,
+/// so a stamp written under an earlier session's mapping never reads as
+/// live, and every other structure resets in O(touched). The members are
+/// plain data on purpose — ColorSearch owns the semantics (and the slot
+/// mapping); tests exercise the reuse contract directly.
 struct SearchArena {
-  // ---- SoA labels, valid iff stamp[v] == epoch ------------------------
+  /// One registered target: its slot and planar position (the A*
+  /// heuristic scans positions without decoding slots).
+  struct Target {
+    std::uint32_t slot = 0;
+    int x = 0;
+    int y = 0;
+  };
+
+  // ---- SoA labels by slot, valid iff stamp[slot] == epoch -------------
   std::vector<double> cost;
-  std::vector<grid::VertexId> prev;
+  std::vector<grid::VertexId> prev;  ///< global ids, for the backtrace
   std::vector<std::uint8_t> state;
   std::vector<std::uint8_t> closed;
   std::vector<std::uint32_t> stamp;
@@ -161,7 +226,7 @@ struct SearchArena {
   // ---- target registry: stamped O(1) lookup + dense list --------------
   std::vector<std::int32_t> target_pin;
   std::vector<std::uint32_t> target_stamp;
-  std::vector<std::pair<grid::VertexId, int>> target_list;
+  std::vector<Target> target_list;
 
   // ---- queues (one engine active per config) --------------------------
   BucketQueue bucket_queue;
@@ -180,9 +245,11 @@ struct SearchArena {
   bool any_tpl_touched = false;
   geom::Rect tpl_touched_bbox;
 
-  /// Grow the per-vertex arrays to cover `num_vertices`. Values of grown
-  /// slots are indifferent: their stamps arrive as 0 != epoch.
-  void ensure(std::uint32_t num_vertices);
+  /// Grow the per-slot arrays to cover `num_slots` (a window's area ×
+  /// layers); they never shrink, so the size is the high-water window.
+  /// Values of grown slots are indifferent: their stamps arrive as
+  /// 0 != epoch.
+  void ensure(std::uint32_t num_slots);
 
   /// Open a fresh session: new epoch, empty queues/targets, reset
   /// footprint. O(structures touched by the previous session).

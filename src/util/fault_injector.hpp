@@ -8,9 +8,11 @@
 /// variable (CI fault-matrix). Sites:
 ///
 ///   arena_grow       SearchArena::ensure throws std::bad_alloc, as if
-///                    label-array growth ran out of memory. The router
-///                    marks the net failed and retries it on a later RRR
-///                    iteration.
+///                    label-array growth ran out of memory. It is checked
+///                    once per ColorSearch::begin_net (the arena is sized
+///                    to each net's window there), so every hit is one
+///                    net's search: the router marks the net failed and
+///                    retries it on a later RRR iteration.
 ///   spec_invalidate  The tile walk's reconciliation treats a speculation
 ///                    as stale and recomputes it serially. Output is
 ///                    unchanged by construction (the redo IS the serial

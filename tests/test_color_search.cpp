@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "core/color_search.hpp"
 #include "support/builders.hpp"
 
@@ -151,6 +154,44 @@ TEST(ColorSearch, WindowClampsExpansion) {
   ASSERT_NE(search.search(), grid::kInvalidVertex);
   // A vertex outside the window is never labeled.
   EXPECT_FALSE(search.visited(g.vertex(0, 8, 12)));
+}
+
+// Labels are stored per window-local slot, so a vertex outside the
+// session's window has no slot at all: seeding one must throw (the router's
+// guarded compute then marks the net failed) rather than index past the
+// arena, and every accessor reads it as unlabeled.
+TEST(ColorSearch, OutOfWindowVertexIsRejected) {
+  const db::Design d = corridor_design();
+  grid::RoutingGrid g(d);
+  ColorSearch search(g, RouterConfig{});
+  search.begin_net(0, nullptr, {0, 7, 15, 9});  // 3-row window
+  const grid::VertexId outside = g.vertex(1, 8, 12);
+  EXPECT_THROW(search.add_source(outside, ColorState::all()), std::out_of_range);
+  EXPECT_THROW(search.add_target(outside, 1), std::out_of_range);
+  EXPECT_THROW(search.make_source(outside, ColorState::all()), std::out_of_range);
+  for (const grid::VertexId v : {outside, g.vertex(0, 0, 6), g.vertex(1, 15, 10),
+                                 g.num_vertices(), grid::kInvalidVertex}) {
+    EXPECT_FALSE(search.visited(v)) << v;
+    EXPECT_EQ(search.target_pin(v), -1) << v;
+    EXPECT_TRUE(std::isinf(search.cost(v))) << v;
+    EXPECT_EQ(search.prev(v), grid::kInvalidVertex) << v;
+    EXPECT_TRUE(search.state(v).empty()) << v;
+  }
+
+  // The rejected calls left the session intact: in-window seeds route.
+  search.add_source(g.vertex(0, 1, 8), ColorState::all());
+  search.add_target(g.vertex(0, 14, 8), 1);
+  const grid::VertexId reached = search.search();
+  ASSERT_EQ(reached, g.vertex(0, 14, 8));
+  EXPECT_NEAR(search.cost(reached), 13.0, 1e-9);
+  EXPECT_FALSE(search.visited(outside));
+
+  // An empty window (disjoint from the grid) maps no vertex at all.
+  search.begin_net(0, nullptr, {40, 40, 50, 50});
+  EXPECT_FALSE(search.window().valid());
+  EXPECT_THROW(search.add_source(g.vertex(0, 1, 8), ColorState::all()),
+               std::out_of_range);
+  EXPECT_EQ(search.search(), grid::kInvalidVertex);
 }
 
 TEST(ColorSearch, HistoryMakesVerticesExpensive) {
