@@ -7,18 +7,20 @@
 /// hash of the serialized solution. The hash is the determinism contract
 /// in portable form — every (tiles, threads) configuration of the same
 /// scenario must print the same hash. tiles=1 or threads=1 routes
-/// serially (speculated 0).
+/// serially (speculated 0). The sign-off after routing is timed per
+/// stage: eval_s (metrics), drc_s (independent DRC), serialize_s.
 ///
 ///   {"bench":"sharded","scenario":"production_grid_10k","die":960,
 ///    "nets":10000,"tiles":16,"grid_dim":4,"threads":8,"nproc":4,
-///    "build":"Release","gen_s":..,"gr_s":..,"route_s":..,"total_s":..,
-///    "peak_rss_mb":..,"speculated":..,"respeculated":..,
-///    "relaxations":..,"conflicts":0,"failed":0,"wirelength":..,
-///    "hash":"f00..."}
+///    "build":"Release","gen_s":..,"gr_s":..,"route_s":..,"eval_s":..,
+///    "drc_s":..,"serialize_s":..,"total_s":..,"peak_rss_mb":..,
+///    "speculated":..,"respeculated":..,"relaxations":..,"conflicts":0,
+///    "failed":0,"wirelength":..,"hash":"f00..."}
 ///
-/// Every config also checks the applied-work ledger: the per-pass
-/// relaxation counts must sum to stats.relaxations, else the driver
-/// aborts (the executor lost or double-counted search work).
+/// Every config also checks the applied-work ledger — the per-pass
+/// relaxation counts must sum to stats.relaxations — and the DRC report,
+/// which must be clean; either failure aborts the driver (the executor
+/// lost or double-counted search work, or committed an illegal layout).
 ///
 /// Two modes:
 ///   * Matrix mode (default / --quick): sweeps tiles {1,4,16} x threads
@@ -47,6 +49,7 @@
 
 #include "benchgen/generator.hpp"
 #include "core/mrtpl_router.hpp"
+#include "drc/checker.hpp"
 #include "eval/metrics.hpp"
 #include "global/global_router.hpp"
 #include "grid/routing_grid.hpp"
@@ -70,6 +73,9 @@ std::uint64_t fnv1a(const std::string& s) {
 struct BenchRun {
   double gr_s = 0.0;
   double route_s = 0.0;
+  double eval_s = 0.0;
+  double drc_s = 0.0;
+  double serialize_s = 0.0;
   double total_s = 0.0;
   mrtpl::core::RouterStats stats;
   mrtpl::eval::Metrics metrics;
@@ -105,8 +111,20 @@ BenchRun run_config(const mrtpl::db::Design& design,
                  static_cast<unsigned long long>(r.stats.relaxations));
     std::abort();
   }
+  util::Timer eval_timer;
   r.metrics = eval::evaluate(grid, sol, &guides);
+  r.eval_s = eval_timer.elapsed_s();
+  util::Timer drc_timer;
+  const drc::DrcReport drc = drc::verify(grid, design, sol);
+  r.drc_s = drc_timer.elapsed_s();
+  if (!drc.clean()) {
+    std::fprintf(stderr, "[sharded] FATAL: tiles=%d threads=%d: DRC violations\n%s",
+                 tiles, threads, drc.summary().c_str());
+    std::abort();
+  }
+  util::Timer serialize_timer;
   r.serialized = io::solution_to_string(grid, sol);
+  r.serialize_s = serialize_timer.elapsed_s();
   r.hash = fnv1a(r.serialized);
   r.total_s = total.elapsed_s();
   return r;
@@ -119,12 +137,14 @@ void emit_json(const std::string& scenario, const mrtpl::db::Design& design,
       "{\"bench\":\"sharded\",\"scenario\":\"%s\",\"die\":%d,\"nets\":%d,"
       "\"tiles\":%d,\"grid_dim\":%d,\"threads\":%d,\"nproc\":%u,"
       "\"build\":\"%s\",\"gen_s\":%.3f,\"gr_s\":%.3f,\"route_s\":%.3f,"
-      "\"total_s\":%.3f,\"peak_rss_mb\":%.1f,\"speculated\":%d,"
+      "\"eval_s\":%.3f,\"drc_s\":%.3f,\"serialize_s\":%.3f,\"total_s\":%.3f,"
+      "\"peak_rss_mb\":%.1f,\"speculated\":%d,"
       "\"respeculated\":%d,\"relaxations\":%llu,\"conflicts\":%d,"
       "\"failed\":%d,\"wirelength\":%lld,\"hash\":\"%016" PRIx64 "\"}\n",
       scenario.c_str(), design.die().width(), design.num_nets(), tiles,
       r.grid_dim, threads, std::thread::hardware_concurrency(), MRTPL_BUILD_TYPE,
-      gen_s, gr_s, r.route_s, gen_s + gr_s + r.total_s,
+      gen_s, gr_s, r.route_s, r.eval_s, r.drc_s, r.serialize_s,
+      gen_s + gr_s + r.total_s,
       mrtpl::util::peak_rss_mb(), r.stats.speculated, r.stats.respeculated,
       static_cast<unsigned long long>(r.stats.relaxations),
       r.metrics.conflicts, r.metrics.failed_nets,

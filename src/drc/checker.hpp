@@ -22,6 +22,22 @@
 ///  - **Coloring**: TPL-layer wire vertices of routed nets carry a real
 ///    mask; non-TPL-layer vertices carry none.
 ///  - **Overlap**: no vertex is used by two different nets' paths.
+///
+/// Contract:
+///  - **Independence.** The checker reads only the grid, the design's pins
+///    and the solution — never router bookkeeping.
+///  - **Scratch is O(routed vertices), not O(die).** Each route's
+///    vertices() is computed once per call into one flat array;
+///    connectivity is a union-find over local indices into that sorted
+///    list; overlaps and phantom metal use one sorted (vertex, route)
+///    claim array. Only the phantom-metal owner scan walks the die, and
+///    it allocates nothing per vertex.
+///  - **Violation order is part of the contract.** Per route, in route
+///    order: out-of-grid ids, then per-path-vertex adjacency / blockage /
+///    ownership, then coloring in vertex order, then connectivity; then
+///    overlaps in (route, vertex) order; then phantom metal in vertex
+///    order. `max_violations` truncates that sequence. The hash-container
+///    reference checker in tests/support (DrcOracle tests) pins it.
 
 #include <string>
 #include <vector>
@@ -82,7 +98,8 @@ struct DrcOptions {
 /// Verify `solution` against the committed `grid` state. Nets whose
 /// NetRoute has `routed == false` are skipped by the connectivity check
 /// (they are already counted as failures by the metrics) but still
-/// participate in overlap/blockage checks.
+/// participate in overlap/blockage checks. A routed net whose id is not
+/// a net of `design` is reported as open, naming the id.
 [[nodiscard]] DrcReport verify(const grid::RoutingGrid& grid,
                                const db::Design& design,
                                const grid::Solution& solution,

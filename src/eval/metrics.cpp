@@ -17,8 +17,11 @@ Metrics evaluate(const grid::RoutingGrid& grid, const grid::Solution& solution,
                  const global::GuideSet* guides) {
   Metrics m;
   m.conflicts = static_cast<int>(core::detect_conflicts(grid).size());
-  m.stitches = mrtpl::grid::count_stitches(grid, solution);
   for (const auto& route : solution.routes) {
+    // One edge list per route feeds every edge metric; stitches count on
+    // every route, dead or not, exactly as grid::count_stitches does.
+    const auto edges = route.edges();
+    m.stitches += mrtpl::grid::count_route_stitches(grid, edges);
     // Dead nets (zero pins — ECO removals) have nothing to route; their
     // empty entries are success, not failure.
     if (route.net >= 0 && route.net < grid.design().num_nets() &&
@@ -29,7 +32,7 @@ Metrics evaluate(const grid::RoutingGrid& grid, const grid::Solution& solution,
       ++m.failed_nets;
       continue;
     }
-    for (const auto& [a, b] : route.edges()) {
+    for (const auto& [a, b] : edges) {
       const grid::VertexLoc la = grid.loc(a);
       const grid::VertexLoc lb = grid.loc(b);
       if (la.layer != lb.layer) {

@@ -73,19 +73,25 @@ void release_route(RoutingGrid& grid, const NetRoute& route) {
   for (const VertexId v : route.vertices()) grid.release(v);
 }
 
+int count_route_stitches(const RoutingGrid& grid,
+                         std::span<const std::pair<VertexId, VertexId>> edges) {
+  int stitches = 0;
+  for (const auto& [a, b] : edges) {
+    const VertexLoc la = grid.loc(a);
+    const VertexLoc lb = grid.loc(b);
+    if (la.layer != lb.layer) continue;  // via: mask change is free
+    if (!grid.tech().is_tpl_layer(la.layer)) continue;  // single-patterned
+    const Mask ma = grid.mask(a);
+    const Mask mb = grid.mask(b);
+    if (ma != kNoMask && mb != kNoMask && ma != mb) ++stitches;
+  }
+  return stitches;
+}
+
 int count_stitches(const RoutingGrid& grid, const Solution& solution) {
   int stitches = 0;
-  for (const auto& route : solution.routes) {
-    for (const auto& [a, b] : route.edges()) {
-      const VertexLoc la = grid.loc(a);
-      const VertexLoc lb = grid.loc(b);
-      if (la.layer != lb.layer) continue;  // via: mask change is free
-      if (!grid.tech().is_tpl_layer(la.layer)) continue;  // single-patterned
-      const Mask ma = grid.mask(a);
-      const Mask mb = grid.mask(b);
-      if (ma != kNoMask && mb != kNoMask && ma != mb) ++stitches;
-    }
-  }
+  for (const auto& route : solution.routes)
+    stitches += count_route_stitches(grid, route.edges());
   return stitches;
 }
 

@@ -5,6 +5,7 @@
 /// module consumes this to count wirelength, vias, stitches and conflicts.
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -75,5 +76,10 @@ void release_route(RoutingGrid& grid, const NetRoute& route);
 /// TPL layer whose two endpoint masks differ. Vias never stitch (masks
 /// are per-layer), and uncolored endpoints don't count.
 [[nodiscard]] int count_stitches(const RoutingGrid& grid, const Solution& solution);
+
+/// The same count over one route, given its NetRoute::edges() — for
+/// callers that already hold the edge list. The stitch rule lives here.
+[[nodiscard]] int count_route_stitches(
+    const RoutingGrid& grid, std::span<const std::pair<VertexId, VertexId>> edges);
 
 }  // namespace mrtpl::grid

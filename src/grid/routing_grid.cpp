@@ -89,27 +89,6 @@ RoutingGrid::RoutingGrid(const RoutingGrid& base, const geom::Rect& tile)
   }
 }
 
-VertexId RoutingGrid::neighbor(VertexId v, Dir d) const {
-  const VertexLoc l = loc(v);
-  switch (d) {
-    case Dir::East: return l.x + 1 < x0_ + nx_ ? v + 1 : kInvalidVertex;
-    case Dir::West: return l.x > x0_ ? v - 1 : kInvalidVertex;
-    case Dir::North:
-      return l.y + 1 < y0_ + ny_ ? v + static_cast<VertexId>(nx_) : kInvalidVertex;
-    case Dir::South:
-      return l.y > y0_ ? v - static_cast<VertexId>(nx_) : kInvalidVertex;
-    case Dir::Up:
-      return l.layer + 1 < nl_
-                 ? v + static_cast<VertexId>(nx_) * static_cast<VertexId>(ny_)
-                 : kInvalidVertex;
-    case Dir::Down:
-      return l.layer > 0
-                 ? v - static_cast<VertexId>(nx_) * static_cast<VertexId>(ny_)
-                 : kInvalidVertex;
-  }
-  return kInvalidVertex;
-}
-
 bool RoutingGrid::is_preferred(int layer, Dir d) const {
   if (is_via(d)) return true;
   const bool horizontal = tech().is_horizontal(layer);

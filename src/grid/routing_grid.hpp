@@ -9,6 +9,7 @@
 /// and which mask it has been assigned — which is what the color-conflict
 /// cost of Eq. 1 and the final conflict detection read.
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -99,7 +100,24 @@ class RoutingGrid {
   }
 
   /// Neighbor in direction `d`, or kInvalidVertex at the boundary.
-  [[nodiscard]] VertexId neighbor(VertexId v, Dir d) const;
+  [[nodiscard]] VertexId neighbor(VertexId v, Dir d) const {
+    return neighbors(v)[static_cast<int>(d)];
+  }
+  /// neighbor() in every direction, indexed by Dir, from one loc() decode.
+  /// Inline, so a neighbor() call computes only the entry it returns.
+  [[nodiscard]] std::array<VertexId, kNumDirs> neighbors(VertexId v) const {
+    const VertexLoc l = loc(v);
+    const auto row = static_cast<VertexId>(nx_);
+    const auto plane = static_cast<VertexId>(nx_) * static_cast<VertexId>(ny_);
+    std::array<VertexId, kNumDirs> out;
+    out[static_cast<int>(Dir::East)] = l.x + 1 < x0_ + nx_ ? v + 1 : kInvalidVertex;
+    out[static_cast<int>(Dir::West)] = l.x > x0_ ? v - 1 : kInvalidVertex;
+    out[static_cast<int>(Dir::North)] = l.y + 1 < y0_ + ny_ ? v + row : kInvalidVertex;
+    out[static_cast<int>(Dir::South)] = l.y > y0_ ? v - row : kInvalidVertex;
+    out[static_cast<int>(Dir::Up)] = l.layer + 1 < nl_ ? v + plane : kInvalidVertex;
+    out[static_cast<int>(Dir::Down)] = l.layer > 0 ? v - plane : kInvalidVertex;
+    return out;
+  }
 
   /// True when moving planar in `d` on `layer` follows the preferred
   /// direction (East/West on horizontal layers, North/South on vertical).

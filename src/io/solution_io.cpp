@@ -1,9 +1,12 @@
 #include "io/solution_io.hpp"
 
+#include <charconv>
+#include <concepts>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "io/atomic_file.hpp"
 #include "io/parse_error.hpp"
@@ -56,40 +59,65 @@ int to_int(const Cursor& c, const std::string& tok) {
   }
 }
 
-}  // namespace
-
-void write_solution(std::ostream& os, const grid::RoutingGrid& grid,
-                    const grid::Solution& solution) {
-  os << "mrtpl-solution 1\n";
-  for (const auto& route : solution.routes) {
-    if (route.net == db::kNoNet && route.empty()) continue;
-    os << "route " << route.net << ' ' << (route.routed ? 1 : 0) << ' '
-       << route.paths.size() << "\n";
-    for (const auto& path : route.paths) {
-      os << "path " << path.size();
-      for (const auto v : path) {
-        const grid::VertexLoc l = grid.loc(v);
-        os << ' ' << l.layer << ' ' << l.x << ' ' << l.y;
-      }
-      os << "\n";
-    }
-    const auto verts = route.vertices();
-    os << "masks " << verts.size();
-    for (const auto v : verts) {
-      const grid::VertexLoc l = grid.loc(v);
-      os << ' ' << l.layer << ' ' << l.x << ' ' << l.y << ' '
-         << static_cast<int>(grid.mask(v));
-    }
-    os << "\n";
+/// Append-only text buffer; integers are formatted with std::to_chars.
+class TextBuffer {
+ public:
+  TextBuffer& operator<<(std::string_view s) {
+    text_.append(s);
+    return *this;
   }
-  os << "end\n";
-}
+  TextBuffer& operator<<(char c) {
+    text_.push_back(c);
+    return *this;
+  }
+  template <std::integral T>
+  TextBuffer& operator<<(T value) {
+    char buf[24];
+    const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+    text_.append(buf, end);
+    return *this;
+  }
+  std::string take() { return std::move(text_); }
+
+ private:
+  std::string text_;
+};
+
+}  // namespace
 
 std::string solution_to_string(const grid::RoutingGrid& grid,
                                const grid::Solution& solution) {
-  std::ostringstream ss;
-  write_solution(ss, grid, solution);
-  return ss.str();
+  TextBuffer out;
+  out << "mrtpl-solution 1\n";
+  for (const auto& route : solution.routes) {
+    if (route.net == db::kNoNet && route.empty()) continue;
+    out << "route " << route.net << ' ' << (route.routed ? 1 : 0) << ' '
+        << route.paths.size() << '\n';
+    for (const auto& path : route.paths) {
+      out << "path " << path.size();
+      for (const auto v : path) {
+        const grid::VertexLoc l = grid.loc(v);
+        out << ' ' << l.layer << ' ' << l.x << ' ' << l.y;
+      }
+      out << '\n';
+    }
+    const auto verts = route.vertices();
+    out << "masks " << verts.size();
+    for (const auto v : verts) {
+      const grid::VertexLoc l = grid.loc(v);
+      out << ' ' << l.layer << ' ' << l.x << ' ' << l.y << ' '
+          << static_cast<int>(grid.mask(v));
+    }
+    out << '\n';
+  }
+  out << "end\n";
+  return out.take();
+}
+
+void write_solution(std::ostream& os, const grid::RoutingGrid& grid,
+                    const grid::Solution& solution) {
+  const std::string text = solution_to_string(grid, solution);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 grid::Solution read_solution(std::istream& is, grid::RoutingGrid& grid,

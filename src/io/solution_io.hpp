@@ -27,7 +27,8 @@
 
 namespace mrtpl::io {
 
-/// Serialize the solution plus the committed masks read from `grid`.
+/// Serialize the solution plus the committed masks read from `grid`. One
+/// code path builds the text (solution_to_string); write_solution writes it.
 void write_solution(std::ostream& os, const grid::RoutingGrid& grid,
                     const grid::Solution& solution);
 std::string solution_to_string(const grid::RoutingGrid& grid,

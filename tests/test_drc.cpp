@@ -245,10 +245,10 @@ TEST(Drc, SummaryNamesKinds) {
 
 TEST(Drc, ToStringCoversAllKinds) {
   for (const auto kind :
-       {ViolationKind::kOpenNet, ViolationKind::kNonAdjacentStep,
-        ViolationKind::kOwnershipMismatch, ViolationKind::kBlockedVertex,
-        ViolationKind::kMissingMask, ViolationKind::kSpuriousMask,
-        ViolationKind::kOverlap}) {
+       {ViolationKind::kOutOfGrid, ViolationKind::kOpenNet,
+        ViolationKind::kNonAdjacentStep, ViolationKind::kOwnershipMismatch,
+        ViolationKind::kBlockedVertex, ViolationKind::kMissingMask,
+        ViolationKind::kSpuriousMask, ViolationKind::kOverlap}) {
     EXPECT_STRNE(to_string(kind), "unknown");
   }
 }

@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+#include <sstream>
+#include <tuple>
+
 #include "benchgen/generator.hpp"
 #include "core/mrtpl_router.hpp"
 #include "eval/metrics.hpp"
 #include "global/global_router.hpp"
+#include "grid/grid_view.hpp"
 #include "io/parse_error.hpp"
 #include "io/solution_io.hpp"
 #include "support/builders.hpp"
 #include "support/golden.hpp"
+#include "support/solution_io_oracle.hpp"
 
 namespace mrtpl::io {
 namespace {
@@ -153,6 +160,70 @@ TEST(SolutionIo, FileRoundTrip) {
   grid::RoutingGrid grid2(design);
   const grid::Solution loaded = load_solution(path, grid2);
   EXPECT_EQ(solution_to_string(grid, solution), solution_to_string(grid2, loaded));
+}
+
+/// A random solution over `grid`'s vertex ids, with random committed
+/// masks: kNoMask (-1) included, kNoNet routes with and without paths,
+/// empty routes, single-vertex (pin) paths and zero-length paths.
+grid::Solution random_solution(grid::RoutingGrid& grid, std::mt19937_64& rng) {
+  auto pick = [&](std::uint64_t n) { return rng() % n; };
+  const int num_nets = grid.design().num_nets();
+  grid::Solution sol;
+  sol.routes.resize(static_cast<size_t>(num_nets) + 3);
+  for (size_t r = 0; r < sol.routes.size(); ++r) {
+    grid::NetRoute& route = sol.routes[r];
+    route.net =
+        r < static_cast<size_t>(num_nets) ? static_cast<db::NetId>(r) : db::kNoNet;
+    route.routed = pick(2) == 0;
+    const auto num_paths = pick(5);
+    for (std::uint64_t p = 0; p < num_paths; ++p) {
+      std::vector<grid::VertexId> path(pick(4) == 0 ? 1 : pick(8));
+      for (auto& v : path) v = static_cast<grid::VertexId>(pick(grid.num_vertices()));
+      route.paths.push_back(std::move(path));
+    }
+    for (const grid::VertexId v : route.vertices())
+      if (grid.owner(v) == db::kNoNet)
+        grid.commit(v, 0, static_cast<grid::Mask>(static_cast<int>(pick(4)) - 1));
+  }
+  return sol;
+}
+
+TEST(SolutionIoOracle, BufferWriterMatchesStreamWriter) {
+  std::mt19937_64 rng(2024);
+  int compared = 0;
+  for (const auto& [layers, w, h] :
+       {std::tuple{1, 1, 1}, std::tuple{2, 7, 5}, std::tuple{4, 40, 33},
+        std::tuple{2, 1100, 1001}}) {
+    const db::Design design = test::single_pin_design(layers, w, h);
+    for (int trial = 0; trial < 6; ++trial) {
+      grid::RoutingGrid whole(design);
+      // Half the trials serialize through a tile view: ids are
+      // view-local, coordinates stay global.
+      std::unique_ptr<grid::GridView> view;
+      if (trial % 2 == 1 && w > 2 && h > 2)
+        view = std::make_unique<grid::GridView>(
+            whole, geom::Rect{w / 3, h / 4, w - 1, h / 2 + 1});
+      grid::RoutingGrid& grid = view ? *view : whole;
+      const grid::Solution sol = random_solution(grid, rng);
+      const std::string want = test::solution_oracle_text(grid, sol);
+      ASSERT_EQ(solution_to_string(grid, sol), want)
+          << layers << "x" << w << "x" << h << " trial " << trial;
+      std::ostringstream os;
+      write_solution(os, grid, sol);
+      ASSERT_EQ(os.str(), want);
+      ++compared;
+    }
+  }
+  // Real routed layouts too: the tiny case and the canonical fixture.
+  for (const db::Design& design :
+       {benchgen::generate(benchgen::tiny_case()), test::four_pin_design()}) {
+    grid::RoutingGrid grid(design);
+    core::MrTplRouter router(design, nullptr, core::RouterConfig{});
+    const grid::Solution sol = router.run(grid);
+    EXPECT_EQ(solution_to_string(grid, sol), test::solution_oracle_text(grid, sol));
+    ++compared;
+  }
+  EXPECT_EQ(compared, 26);
 }
 
 }  // namespace
