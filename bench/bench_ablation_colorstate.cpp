@@ -1,9 +1,9 @@
 /// \file bench_ablation_colorstate.cpp
-/// Ablation **A1** (DESIGN.md): set-based color states vs single-color
-/// commitment during search. The set-based state is the paper's third
-/// contribution; disabling it forces the searcher to pick one argmin
-/// color per label, which discards tie flexibility and should raise
-/// stitch counts (and often conflicts) at equal runtime.
+/// Ablation **A1** (RouterConfig::set_based_states): set-based color
+/// states vs single-color commitment during search. The set-based state
+/// is the paper's third contribution; disabling it forces the searcher to
+/// pick one argmin color per label, which discards tie flexibility and
+/// should raise stitch counts (and often conflicts) at equal runtime.
 
 #include <cstdio>
 #include <cstring>

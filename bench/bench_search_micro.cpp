@@ -8,26 +8,18 @@
 ///    single-net instances — the mechanical source of Table II's runtime
 ///    column (label-space size). All google-benchmark flags pass through.
 ///
-///  * `--compare [--thresholds FILE]`: old-vs-new hot path on the die-112
-///    scaling recipe. "Old" runs the legacy engines (binary heap queue +
-///    per-relaxation Dcolor window scans), "new" the defaults (bucket
-///    queue + precomputed congestion field). Both orders are pinned to
-///    the same (quantized key, push sequence) contract, so the run ABORTS
-///    unless the two serialized solutions are byte-identical; it then
-///    reports the reroute-phase speedup and, when a thresholds file is
-///    given, FAILS (exit 1) if the speedup or the relaxation count
-///    regresses past the recorded bounds. CI's perf-smoke job runs this
-///    against bench/perf_thresholds.json.
+///  * `--gate [--thresholds FILE]`: one run of the default engine on the
+///    die-112 scaling recipe. Prints the reroute-phase wall time and the
+///    applied relaxation count and, when a thresholds file is given,
+///    FAILS (exit 1) if the relaxations exceed the recorded ceiling. CI's
+///    perf-smoke job runs this against bench/perf_thresholds.json.
 ///
 ///    Thresholds file (flat JSON, hand-parsed):
-///      {"min_speedup": <min old/new reroute-time ratio>,
-///       "max_relaxations": <ceiling on the new engine's relaxations>}
-///    min_speedup gates wall time as a same-process RATIO (machine-speed
-///    independent); max_relaxations is an exact deterministic count
-///    recorded at 1.1x the measured value, so any >10% search-effort
-///    regression fails even when the timing ratio is too noisy to.
+///      {"max_relaxations": <ceiling on the run's relaxations>}
+///    max_relaxations is an exact deterministic count recorded at 1.1x
+///    the measured value, so any >10% search-effort regression fails
+///    whatever the machine's speed or load.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -39,7 +31,6 @@
 #include "core/mrtpl_router.hpp"
 #include "db/design.hpp"
 #include "flow.hpp"
-#include "io/solution_io.hpp"
 
 #ifdef MRTPL_HAVE_GOOGLE_BENCHMARK
 #include <benchmark/benchmark.h>
@@ -101,12 +92,7 @@ double parse_threshold(const std::string& text, const char* key) {
   return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
-struct CompareRun {
-  core::RouterStats stats;
-  std::string serialized;
-};
-
-int run_compare(const char* thresholds_path) {
+int run_gate(const char* thresholds_path) {
   // The bench_scaling die-112 recipe: the largest standard case.
   benchgen::CaseSpec spec;
   spec.name = "rrr112";
@@ -114,47 +100,19 @@ int run_compare(const char* thresholds_path) {
   spec.num_nets = 112 * 112 / 38;
   spec.num_macros = 112 / 24;
   spec.seed = 9000u + 112u;
-  std::fprintf(stderr, "[search_micro] --compare: die 112x112, %d nets\n",
+  std::fprintf(stderr, "[search_micro] --gate: die 112x112, %d nets\n",
                spec.num_nets);
   const bench::CaseContext ctx = bench::prepare_case(spec);
 
-  auto run_with = [&ctx](bool bucket, bool field) {
-    grid::RoutingGrid grid(ctx.design);
-    core::RouterConfig cfg;
-    cfg.use_bucket_queue = bucket;
-    cfg.precomputed_congestion = field;
-    core::MrTplRouter router(ctx.design, &ctx.guides, cfg);
-    const grid::Solution sol = router.run(grid);
-    return CompareRun{router.stats(), io::solution_to_string(grid, sol)};
-  };
-
-  // Two timed rounds each, interleaved; keep the faster round per engine
-  // so one scheduler hiccup can't decide the ratio.
-  CompareRun old_run = run_with(false, false);
-  CompareRun new_run = run_with(true, true);
-  {
-    const CompareRun old2 = run_with(false, false);
-    const CompareRun new2 = run_with(true, true);
-    if (old2.stats.reroute_s < old_run.stats.reroute_s) old_run = old2;
-    if (new2.stats.reroute_s < new_run.stats.reroute_s) new_run = new2;
-  }
-
-  if (old_run.serialized != new_run.serialized) {
-    std::fprintf(stderr,
-                 "[search_micro] FATAL: legacy and new engines diverged — "
-                 "the (qkey, seq) order contract is broken\n");
-    return 2;
-  }
-
-  const double speedup = old_run.stats.reroute_s / new_run.stats.reroute_s;
+  grid::RoutingGrid grid(ctx.design);
+  core::MrTplRouter router(ctx.design, &ctx.guides);
+  (void)router.run(grid);
+  const core::RouterStats& stats = router.stats();
   std::printf(
-      "{\"bench\":\"search_micro_compare\",\"die\":112,\"nets\":%d,"
-      "\"old_reroute_s\":%.6f,\"new_reroute_s\":%.6f,\"speedup\":%.3f,"
-      "\"old_relaxations\":%llu,\"new_relaxations\":%llu,"
-      "\"identical\":true}\n",
-      spec.num_nets, old_run.stats.reroute_s, new_run.stats.reroute_s, speedup,
-      static_cast<unsigned long long>(old_run.stats.relaxations),
-      static_cast<unsigned long long>(new_run.stats.relaxations));
+      "{\"bench\":\"search_micro_gate\",\"die\":112,\"nets\":%d,"
+      "\"reroute_s\":%.6f,\"relaxations\":%llu}\n",
+      spec.num_nets, stats.reroute_s,
+      static_cast<unsigned long long>(stats.relaxations));
   std::fflush(stdout);
 
   if (thresholds_path == nullptr) return 0;
@@ -166,40 +124,28 @@ int run_compare(const char* thresholds_path) {
   }
   std::stringstream buf;
   buf << in.rdbuf();
-  const double min_speedup = parse_threshold(buf.str(), "min_speedup");
   const double max_relax = parse_threshold(buf.str(), "max_relaxations");
-  int rc = 0;
-  if (min_speedup == min_speedup && speedup < min_speedup) {
-    std::fprintf(stderr,
-                 "[search_micro] FAIL: speedup %.3f below threshold %.3f\n",
-                 speedup, min_speedup);
-    rc = 1;
-  }
-  if (max_relax == max_relax &&
-      static_cast<double>(new_run.stats.relaxations) > max_relax) {
+  if (max_relax == max_relax && static_cast<double>(stats.relaxations) > max_relax) {
     std::fprintf(stderr,
                  "[search_micro] FAIL: relaxations %llu above threshold %.0f\n",
-                 static_cast<unsigned long long>(new_run.stats.relaxations),
-                 max_relax);
-    rc = 1;
+                 static_cast<unsigned long long>(stats.relaxations), max_relax);
+    return 1;
   }
-  if (rc == 0)
-    std::fprintf(stderr, "[search_micro] thresholds OK (speedup %.2fx)\n",
-                 speedup);
-  return rc;
+  std::fprintf(stderr, "[search_micro] thresholds OK\n");
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* thresholds = nullptr;
-  bool compare = false;
+  bool gate = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--compare") == 0) compare = true;
+    if (std::strcmp(argv[i], "--gate") == 0) gate = true;
     if (std::strcmp(argv[i], "--thresholds") == 0 && i + 1 < argc)
       thresholds = argv[i + 1];
   }
-  if (compare) return run_compare(thresholds);
+  if (gate) return run_gate(thresholds);
 #ifdef MRTPL_HAVE_GOOGLE_BENCHMARK
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -209,7 +155,7 @@ int main(int argc, char** argv) {
 #else
   std::fprintf(stderr,
                "bench_search_micro: built without google-benchmark; only "
-               "--compare mode is available\n");
+               "--gate mode is available\n");
   return 1;
 #endif
 }

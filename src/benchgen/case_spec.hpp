@@ -3,7 +3,9 @@
 /// Parameterisation of a synthetic routing case. Two named suites mirror
 /// the structural progression of the ISPD 2018 and ISPD 2019 contest
 /// benchmarks (small/sparse "test1" up to large/congested "test10"); see
-/// DESIGN.md §2 for the substitution rationale.
+/// generator.hpp for the routing regimes the synthetic designs keep and
+/// bench/bench_table2.cpp's header for why only relative numbers are
+/// compared.
 
 #include <cstdint>
 #include <string>

@@ -193,10 +193,6 @@ void ColorSearch::add_source(grid::VertexId v, ColorState state) {
   push(s, l.x, l.y, 0.0);
 }
 
-void ColorSearch::make_source(grid::VertexId v, ColorState state) {
-  add_source(v, state);
-}
-
 void ColorSearch::add_target(grid::VertexId v, int pin) {
   const std::uint32_t s = checked_slot(v, "add_target");
   SearchArena& a = *arena_;
@@ -238,24 +234,11 @@ double ColorSearch::heuristic(int x, int y) const {
 
 void ColorSearch::push(std::uint32_t slot, int x, int y, double g) {
   const double f = g + heuristic(x, y);
-  // Quantized key: both engines order by (qkey, push seq), so the pop
-  // sequence — and therefore the routing output — is engine-independent.
+  // Quantized key: the queue orders by (qkey, push seq), so the pop
+  // sequence — and therefore the routing output — follows the keys and
+  // the push order alone.
   const auto qkey = static_cast<std::uint64_t>(f * inv_quantum_);
-  const QueueItem item{g, slot, round_};
-  if (config_.use_bucket_queue)
-    arena_->bucket_queue.push(qkey, item, arena_->seq++);
-  else
-    arena_->heap_queue.push(qkey, item, arena_->seq++);
-}
-
-bool ColorSearch::queue_empty() const {
-  return config_.use_bucket_queue ? arena_->bucket_queue.empty()
-                                  : arena_->heap_queue.empty();
-}
-
-QueueItem ColorSearch::pop_item() {
-  return config_.use_bucket_queue ? arena_->bucket_queue.pop()
-                                  : arena_->heap_queue.pop();
+  arena_->bucket_queue.push(qkey, {g, slot, round_}, arena_->seq++);
 }
 
 int ColorSearch::target_pin(grid::VertexId v) const {
@@ -271,8 +254,7 @@ grid::VertexId ColorSearch::search() {
   // in the Dcolor window; it substitutes for the self-excluding window
   // scan exactly when this net has no colored vertex anywhere — always
   // true in the router flows (rip-up clears masks, pins start uncolored).
-  const bool use_field =
-      config_.precomputed_congestion && grid_.colored_count(net_) == 0;
+  const bool use_field = grid_.colored_count(net_) == 0;
   const int nx = grid_.size_x();
   const int nl = grid_.num_layers();
   const auto layer_stride =
@@ -282,7 +264,7 @@ grid::VertexId ColorSearch::search() {
   const std::uint32_t w = slots_.width();
   const std::uint32_t plane = slots_.plane();
 
-  while (!queue_empty()) {
+  while (!a.bucket_queue.empty()) {
     // Cooperative cancellation: poll the deadline/cancel flag once per
     // kBudgetCheckInterval relaxations. Relaxation *budgets* are not
     // checked here — they stop between nets, on the main thread, so the
@@ -294,7 +276,7 @@ grid::VertexId ColorSearch::search() {
         return grid::kInvalidVertex;
       }
     }
-    const QueueItem item = pop_item();
+    const QueueItem item = a.bucket_queue.pop();
     const std::uint32_t sv = item.slot;
     if (a.stamp[sv] != a.epoch || a.closed[sv] || item.g > a.cost[sv] + kEps) continue;
     // Decode the slot into the global position (and id) once per pop.

@@ -21,14 +21,13 @@
 /// The hot path runs on a SearchArena (search_arena.hpp): epoch-stamped
 /// SoA labels reused across nets without clearing and indexed by
 /// window-local slots — O(window × layers) memory, not O(die) — a stamped
-/// target registry, a per-session guide-cover bitmap, and one of two queue
-/// engines — the flat monotone bucket queue (default) or the legacy
-/// binary heap — both popping in the SAME (quantized key, push sequence)
-/// order, so routing output is byte-identical across engines. Per-die
-/// cost atoms (per-layer/per-direction base costs, TPL-layer flags) are
-/// precomputed once at construction; the per-mask congestion term can
-/// read the grid's incrementally maintained colored-neighbor counts
-/// instead of rescanning the Dcolor window on every relaxation.
+/// target registry, a per-session guide-cover bitmap, and the flat
+/// monotone bucket queue, which pops in (quantized key, push sequence)
+/// order. Per-die cost atoms (per-layer/per-direction base costs,
+/// TPL-layer flags) are precomputed once at construction; the per-mask
+/// congestion term reads the grid's incrementally maintained
+/// colored-neighbor counts instead of rescanning the Dcolor window on
+/// every relaxation whenever the net holds no colored metal yet.
 
 #include <memory>
 #include <vector>
@@ -61,7 +60,9 @@ class ColorSearch {
   void begin_net(db::NetId net, const global::NetGuide* guide, geom::Rect window);
 
   /// Seed a source vertex with cost 0 and the given state (Algorithm 1
-  /// lines 4–8 use ColorState::all()). Throws std::out_of_range when `v`
+  /// lines 4–8 use ColorState::all()). Algorithm 3 lines 17–18 re-seed
+  /// every routed tree vertex this way (cost 0, its segSet's state) so the
+  /// tree seeds the next pin search. Throws std::out_of_range when `v`
   /// lies outside the session's window (it would have no slot).
   void add_source(grid::VertexId v, ColorState state);
 
@@ -102,11 +103,6 @@ class ColorSearch {
   [[nodiscard]] grid::VertexId prev(grid::VertexId v) const;
   [[nodiscard]] ColorState state(grid::VertexId v) const;
   [[nodiscard]] bool visited(grid::VertexId v) const { return live_slot(v) != kNoSlot; }
-
-  /// Algorithm 3 lines 17–18: zero the vertex's cost, keep/replace its
-  /// state, and re-queue it so the routed tree seeds the next pin search.
-  /// Throws std::out_of_range when `v` lies outside the session's window.
-  void make_source(grid::VertexId v, ColorState state);
 
   /// Label relaxations performed since the most recent begin_net — a
   /// strictly per-net counter (begin_net resets it to zero); callers that
@@ -161,8 +157,6 @@ class ColorSearch {
   /// stays.
   [[nodiscard]] double heuristic(int x, int y) const;
   void push(std::uint32_t slot, int x, int y, double g);
-  [[nodiscard]] QueueItem pop_item();
-  [[nodiscard]] bool queue_empty() const;
 
   const grid::RoutingGrid& grid_;
   RouterConfig config_;

@@ -124,8 +124,8 @@ std::vector<Conflict> cluster_conflicts(
     const grid::RoutingGrid& grid,
     const std::vector<std::pair<grid::VertexId, grid::VertexId>>& pairs) {
   // Sort-then-sweep over a flat record vector: grouping by net pair used
-  // to be a std::map of vectors — a hot-path allocation sink when the
-  // oracle runs every RRR iteration.
+  // to be a std::map of vectors — a hot-path allocation sink when
+  // ConflictIndex::conflicts runs every RRR iteration.
   std::vector<PairRec> recs;
   recs.reserve(pairs.size());
   for (const auto& [v, u] : pairs) {

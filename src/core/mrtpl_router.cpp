@@ -197,7 +197,7 @@ MrTplRouter::RouteOutcome MrTplRouter::compute_route(const grid::RoutingGrid& gr
     // Re-seed the tree (Algorithm 3 lines 17–18): every path vertex
     // becomes a zero-cost source carrying its segSet state.
     for (const grid::VertexId v : path)
-      search.make_source(v, pool.state_of(pool.verset_of(v)));
+      search.add_source(v, pool.state_of(pool.verset_of(v)));
 
     // The reached pin's metal joins the tree: same verSet as dst. Pin
     // vertices enter the route as their own single-vertex paths so that
@@ -207,7 +207,7 @@ MrTplRouter::RouteOutcome MrTplRouter::compute_route(const grid::RoutingGrid& gr
     const VerSetId dst_vs = pool.verset_of(dst);
     for (const grid::VertexId v : pin_verts[static_cast<size_t>(pin)]) {
       if (pool.verset_of(v) == kNoVerSet) pool.attach(v, dst_vs);
-      search.make_source(v, pool.state_of(dst_vs));
+      search.add_source(v, pool.state_of(dst_vs));
       route.paths.push_back({v});
     }
     route.paths.push_back(std::move(path));
@@ -266,19 +266,12 @@ grid::NetRoute MrTplRouter::route_net(grid::RoutingGrid& grid, ColorSearch& sear
                                       db::NetId net_id) {
   RouteOutcome outcome = compute_route(grid, search, net_id);
   apply_outcome(grid, outcome);
-  set_last_colors(outcome);
   return std::move(outcome.route);
 }
 
 void MrTplRouter::apply_outcome(grid::RoutingGrid& grid, const RouteOutcome& outcome) {
   for (const auto& [v, m] : outcome.colors) grid.commit(v, outcome.route.net, m);
   stats_.relaxations += outcome.relaxations;
-}
-
-void MrTplRouter::set_last_colors(const RouteOutcome& outcome) {
-  last_colors_ = outcome.colors;
-  if (config_.enable_coloring)
-    std::sort(last_colors_.begin(), last_colors_.end());
 }
 
 void MrTplRouter::choose_colors(
@@ -481,14 +474,11 @@ void MrTplRouter::route_list(grid::RoutingGrid& grid, ColorSearch& search,
       }
       RouteOutcome outcome = compute_route_guarded(grid, search, id);
       apply_outcome(grid, outcome);
-      set_last_colors(outcome);
       solution.routes[static_cast<size_t>(id)] = std::move(outcome.route);
     }
   }
-  if (!nets.empty()) {
-    stats_.route_batches += 1;
+  if (!nets.empty())
     stats_.relaxations_per_pass.push_back(stats_.relaxations - pass_relax_base);
-  }
   stats_.reroute_s += timer.elapsed_s();
 }
 
@@ -550,7 +540,6 @@ void MrTplRouter::route_tiles(grid::RoutingGrid& grid, ColorSearch& search,
   // ---- 3. serial reconciliation in ripped order -------------------------
   geom::SpatialGrid applied_idx(design_.die(), 32);  // every applied commit
   geom::SpatialGrid hazard_idx(design_.die(), 32);   // commits views can't see
-  size_t last_applied = nets.size();  // sentinel: nothing applied yet
   for (size_t k = 0; k < nets.size(); ++k) {
     if (budget_.active() && budget_.expired(stats_.relaxations)) {
       // expired() is monotone within the walk, so every later net skips
@@ -600,13 +589,8 @@ void MrTplRouter::route_tiles(grid::RoutingGrid& grid, ColorSearch& search,
         hazard_idx.insert(static_cast<std::uint32_t>(k), *commit_box);
     }
     if (spec_box) hazard_idx.insert(static_cast<std::uint32_t>(k), *spec_box);
-    last_applied = k;
     solution.routes[static_cast<size_t>(nets[k])] = std::move(outcomes[k].route);
   }
-  // last_colors() tracks the final applied net, same as the serial loop,
-  // so the accessor stays configuration-independent (colors survive the
-  // route move above).
-  if (last_applied != nets.size()) set_last_colors(outcomes[last_applied]);
 }
 
 void MrTplRouter::begin_run(const RouteBudget& budget, grid::Solution& solution) {
@@ -650,12 +634,12 @@ void MrTplRouter::capture_checkpoint(const grid::RoutingGrid& grid,
 }
 
 void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
-                           Workers* workers, ConflictIndex* index, int start_iter,
+                           Workers* workers, ConflictIndex& index, int start_iter,
                            LayoutSnapshot& best, grid::Solution& solution,
                            RouterCheckpoint* pending) {
   auto detect = [&] {
     util::Timer t;
-    auto conflicts = index != nullptr ? index->conflicts() : detect_conflicts(grid);
+    auto conflicts = index.conflicts();
     stats_.detect_s += t.elapsed_s();
     return conflicts;
   };
@@ -800,12 +784,10 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
   if (budget_.active()) search.set_budget(&budget_);
 
   // Incremental conflict engine: subscribes to the grid's dirty log so
-  // each detection pass costs O(rip delta × window), not O(die). The
-  // full-rescan oracle remains behind the toggle. Constructed before any
-  // commit (including a checkpoint restore below) so its log sees every
-  // change since the empty grid.
-  std::unique_ptr<ConflictIndex> index;
-  if (config_.incremental_conflicts) index = std::make_unique<ConflictIndex>(grid);
+  // each detection pass costs O(rip delta × window), not O(die).
+  // Constructed before any commit (including a checkpoint restore below)
+  // so its log sees every change since the empty grid.
+  ConflictIndex index(grid);
 
   // The tile walk needs both a pool and a die tiling; any other
   // configuration routes serially.
@@ -852,8 +834,7 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
     capture_checkpoint(grid, solution, best, 0, capture);
   }
 
-  rrr_loop(grid, search, workers.get(), index.get(), start_iter, best, solution,
-           capture);
+  rrr_loop(grid, search, workers.get(), index, start_iter, best, solution, capture);
 
   if (stats_.budget_hit)
     util::warn("mrtpl",
@@ -876,7 +857,7 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
 }
 
 grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
-                                          ConflictIndex* index,
+                                          ConflictIndex& index,
                                           const std::vector<db::NetId>& dirty,
                                           grid::Solution& solution,
                                           const RouteBudget& budget) {
@@ -889,12 +870,6 @@ grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
   // out-of-range ids dropped). Sessions are strictly serial — no workers —
   // so live apply and journal replay walk the identical code path.
   const std::vector<db::NetId> work = route_order(design_, dirty);
-
-  std::unique_ptr<ConflictIndex> own_index;
-  if (index == nullptr && config_.incremental_conflicts) {
-    own_index = std::make_unique<ConflictIndex>(grid);
-    index = own_index.get();
-  }
 
   // The localized RRR loop: same policy as run(), seeded by the edit's
   // delta. Conflicts and failures can only arise where the edit touched

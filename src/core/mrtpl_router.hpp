@@ -29,7 +29,6 @@ struct RouterStats {
   double runtime_s = 0.0;
   double detect_s = 0.0;              ///< wall time in conflict detection
   double reroute_s = 0.0;             ///< wall time routing nets (all passes)
-  int route_batches = 0;              ///< executor passes (one per route_list)
 
   /// Applied relaxations of each route_list pass, in pass order. The
   /// entries always sum to `relaxations` — bench_sharded aborts if the
@@ -113,13 +112,12 @@ class MrTplRouter {
   /// newly added nets); they are rerouted into the otherwise-committed
   /// layout, then the standard RRR loop repairs whatever conflicts or
   /// failures the delta caused — globally correct, local in practice.
-  /// `index` is the caller's resident conflict engine (null: one is built,
-  /// or the full-rescan oracle runs per config). Strictly serial, so a
-  /// journal replay of the same (state, dirty, budget) is byte-identical
-  /// to the live apply. `solution` is updated in place (entries resize to
+  /// `index` is the caller's resident conflict engine, attached to `grid`.
+  /// Strictly serial, so a journal replay of the same (state, dirty,
+  /// budget) is byte-identical to the live apply. `solution` is updated in place (entries resize to
   /// the design; dead nets normalize to trivially-routed markers); returns
   /// the run status (kDegraded when `budget` tripped).
-  grid::SolutionStatus reroute(grid::RoutingGrid& grid, ConflictIndex* index,
+  grid::SolutionStatus reroute(grid::RoutingGrid& grid, ConflictIndex& index,
                                const std::vector<db::NetId>& dirty,
                                grid::Solution& solution,
                                const RouteBudget& budget = {});
@@ -128,13 +126,6 @@ class MrTplRouter {
   /// example, which narrates Fig. 3 step by step). Commits the result.
   grid::NetRoute route_net(grid::RoutingGrid& grid, ColorSearch& search,
                            db::NetId net_id);
-
-  /// Per-vertex committed masks of the last `route_net` call, for
-  /// callers that need the color of each path vertex.
-  [[nodiscard]] const std::vector<std::pair<grid::VertexId, grid::Mask>>&
-  last_colors() const {
-    return last_colors_;
-  }
 
   /// Current widened-window margin of a net beyond config.search_margin.
   /// Zero after any successful route (the widening is an escape valve for
@@ -222,12 +213,6 @@ class MrTplRouter {
   /// Commit an outcome's colors and fold its counters into stats_.
   void apply_outcome(grid::RoutingGrid& grid, const RouteOutcome& outcome);
 
-  /// Refresh the last_colors() accessor from an outcome. Kept separate
-  /// from apply_outcome so the tile walk can pin last_colors() to the
-  /// final applied net of the list — the accessor must not depend on the
-  /// (tiles, threads) configuration either.
-  void set_last_colors(const RouteOutcome& outcome);
-
   /// Route `nets` in order, storing results in `solution`. Two branches:
   /// serial (no `workers`, a single net, or a budget already expired at
   /// pass start — every net then skips), and the tile walk (route_tiles).
@@ -276,16 +261,15 @@ class MrTplRouter {
 
   /// The Fig. 2 rip-up-and-reroute loop shared by run() and reroute(),
   /// starting after the initial pass at iteration `start_iter`: conflict
-  /// detection (`index`, or the full-rescan oracle when null), history
-  /// update, window widening, blocker sweep, ripped order, reroute, then
-  /// the keep-best restore and the final status/failed-net accounting.
-  /// `best` carries the best iterate so far in and out; it is captured
-  /// lazily, just before a rip moves the grid off the best iterate, so a
-  /// loop that never rips never copies or re-scores the layout. With
-  /// `pending` non-null, every clean iteration boundary is captured into
-  /// it.
+  /// detection (`index`), history update, window widening, blocker sweep,
+  /// ripped order, reroute, then the keep-best restore and the final
+  /// status/failed-net accounting. `best` carries the best iterate so far
+  /// in and out; it is captured lazily, just before a rip moves the grid
+  /// off the best iterate, so a loop that never rips never copies or
+  /// re-scores the layout. With `pending` non-null, every clean iteration
+  /// boundary is captured into it.
   void rrr_loop(grid::RoutingGrid& grid, ColorSearch& search, Workers* workers,
-                ConflictIndex* index, int start_iter, LayoutSnapshot& best,
+                ConflictIndex& index, int start_iter, LayoutSnapshot& best,
                 grid::Solution& solution, RouterCheckpoint* pending);
 
   /// Capture the clean boundary before iteration `next_iter` into
@@ -301,7 +285,6 @@ class MrTplRouter {
   const global::GuideSet* guides_;
   RouterConfig config_;
   RouterStats stats_;
-  std::vector<std::pair<grid::VertexId, grid::Mask>> last_colors_;
 
   /// Armed budget of the current run (inactive when run(grid) was called
   /// without one). route_list consults it at per-net commit points; the

@@ -1,8 +1,14 @@
 #pragma once
 /// \file router_config.hpp
 /// Tunables of the Mr.TPL detailed router. Weight defaults follow the
-/// TechRules of the design; the toggles exist for the ablation benches
-/// (DESIGN.md experiments A1–A3).
+/// TechRules of the design. Every field has a production reader: the
+/// ablation benches A1–A5 (bench/bench_ablation_*.cpp,
+/// bench_dpl_vs_tpl.cpp), the paper-table and baseline configurations
+/// (bench/flow.hpp's paper_config() and dac12_config()), and the tile
+/// walk's shard_tiles/rrr_threads (CLI `route --tiles --threads`,
+/// perfbench). The search always runs the bucket queue and the
+/// congestion field, and the RRR loop always keeps a ConflictIndex; their
+/// slow reference engines live in the tests as oracles, not here.
 
 #include <cstdint>
 
@@ -17,8 +23,8 @@ struct RouterConfig {
   /// RRR is part of Mr.TPL's Fig. 2 flow; the DAC-2012 baseline's
   /// published flow commits colors in one pass and its rip-up only targets
   /// unroutable nets, so the Table II harness runs the baseline with this
-  /// off (see DESIGN.md §2). Turning it on for the baseline is the
-  /// `bench_ablation_rrr` "negotiated baseline" ablation.
+  /// off (bench/flow.hpp's dac12_config()). Turning it on for the baseline
+  /// is the `bench_ablation_rrr` "negotiated baseline" ablation.
   bool rrr_on_color_conflicts = true;
 
   /// Worker threads of the tile walk (MrTplRouter::route_list). The walk
@@ -38,12 +44,6 @@ struct RouterConfig {
   /// is KEPT, never what the result is. 1 routes serially; 2 and 3 round
   /// down to a single-tile plan.
   int shard_tiles = 1;
-
-  /// Maintain the violating-pair set incrementally (core::ConflictIndex,
-  /// fed by the grid's dirty log) instead of rescanning the whole die
-  /// every RRR iteration. Identical conflicts; detection cost scales with
-  /// the rip delta. Off falls back to the detect_conflicts debug oracle.
-  bool incremental_conflicts = true;
 
   // ---- search window ---------------------------------------------------
   /// Hard clamp: search stays within the net bbox united with its guide
@@ -66,21 +66,7 @@ struct RouterConfig {
   /// decomposition flow of Table III).
   bool enable_coloring = true;
 
-  // ---- search hot-path engine (README "Search hot path") ---------------
-  /// Pop queued labels from the flat monotone bucket queue instead of the
-  /// legacy binary heap. Both engines pop in the same (quantized key,
-  /// push sequence) order, so routing output is byte-identical; this is
-  /// purely a constant-factor switch, kept so `bench_search_micro
-  /// --compare` and the equivalence tests can pin one against the other.
-  bool use_bucket_queue = true;
-
-  /// Read the per-mask color-conflict counts from the grid's incrementally
-  /// maintained congestion field instead of rescanning the Dcolor window
-  /// on every relaxation. Exact (the searcher falls back to the scan for
-  /// the rare net that already holds colored vertices), so output is
-  /// byte-identical with the toggle off.
-  bool precomputed_congestion = true;
-
+  // ---- search ----------------------------------------------------------
   /// Drive the color-state search as A* with an admissible Manhattan
   /// lower bound to the nearest unreached pin instead of plain Dijkstra
   /// (the paper's Algorithm 2). Path costs are identical — the heuristic

@@ -125,7 +125,6 @@ void SearchArena::begin_session() {
     epoch = 1;
   }
   bucket_queue.clear();
-  heap_queue.clear();
   seq = 0;
   target_list.clear();
   any_touched = false;

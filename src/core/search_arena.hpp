@@ -2,7 +2,7 @@
 /// \file search_arena.hpp
 /// Preallocated scratch state of the color-state search hot path: SoA
 /// label arrays reused across nets via epoch stamping, the stamped target
-/// registry, the rasterized guide-cover bitmap, and the two queue engines.
+/// registry, the rasterized guide-cover bitmap, and the bucket queue.
 ///
 /// Every per-vertex array is indexed by a *window-local slot* (SlotMap),
 /// not by the global vertex id: a search only ever expands inside its
@@ -11,26 +11,22 @@
 /// of O(die), and neighboring labels sit w or w·h slots apart instead of
 /// a die row or plane.
 ///
-/// Both engines implement the SAME total pop order — (quantized key, push
-/// sequence), lexicographic — so the routing output is byte-identical no
-/// matter which one runs:
-///
-///  * BucketQueue: a flat bucket array indexed by the quantized key with
-///    FIFO buckets. FIFO within a bucket IS push-sequence order, and a
-///    two-level occupancy bitmap finds the lowest non-empty bucket in a
-///    handful of word operations. With the quantum no larger than the
-///    cheapest edge, a Dijkstra pass never relaxes into the bucket it is
-///    draining, so the scan cursor moves monotonically; pushes below the
-///    cursor (A* re-keys, and the cost-0 tree re-seeds between pin
-///    rounds) rewind it, which keeps the structure an *exact* (key, seq)
-///    priority queue, not merely an approximate monotone one. Each
-///    bucket is a singly linked
-///    list over ONE shared, free-listed node pool, so the queue's memory
-///    is its peak live item count — not the sum of every bucket's
-///    high-water mark, which A*'s spread-out f-keys would inflate.
-///  * HeapQueue: a binary heap ordered by the same (key, seq) pair — the
-///    legacy std::priority_queue engine, kept as the oracle and as the
-///    "old" side of `bench_search_micro --compare`.
+/// The BucketQueue pops in one total order — (quantized key, push
+/// sequence), lexicographic — so the routing output depends on the keys
+/// and the push order alone. It is a flat bucket array indexed by the
+/// quantized key with FIFO buckets: FIFO within a bucket IS push-sequence
+/// order, and a two-level occupancy bitmap finds the lowest non-empty
+/// bucket in a handful of word operations. With the quantum no larger
+/// than the cheapest edge, a Dijkstra pass never relaxes into the bucket
+/// it is draining, so the scan cursor moves monotonically; pushes below
+/// the cursor (A* re-keys, and the cost-0 tree re-seeds between pin
+/// rounds) rewind it, which keeps the structure an *exact* (key, seq)
+/// priority queue, not merely an approximate monotone one. Each bucket is
+/// a singly linked list over ONE shared, free-listed node pool, so the
+/// queue's memory is its peak live item count — not the sum of every
+/// bucket's high-water mark, which A*'s spread-out f-keys would inflate.
+/// The binary heap it replaced is the order oracle of the tests
+/// (tests/support/heap_queue_oracle.hpp).
 ///
 /// Keys beyond the bucket range spill into an overflow heap (same order);
 /// bucket items always pop first because their keys are strictly smaller.
@@ -117,41 +113,6 @@ class BucketQueue {
   std::vector<OverflowItem> overflow_;  ///< std::*_heap managed (clear keeps capacity)
 };
 
-/// The legacy engine: a binary heap over the same (qkey, seq) order.
-/// Implemented on a plain vector (std::push_heap/pop_heap) instead of
-/// std::priority_queue so clear() can keep the allocation.
-class HeapQueue {
- public:
-  void clear() { items_.clear(); }
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-
-  void push(std::uint64_t qkey, const QueueItem& item, std::uint32_t seq) {
-    items_.push_back({qkey, seq, item});
-    std::push_heap(items_.begin(), items_.end(), After{});
-  }
-
-  QueueItem pop() {
-    std::pop_heap(items_.begin(), items_.end(), After{});
-    const QueueItem item = items_.back().item;
-    items_.pop_back();
-    return item;
-  }
-
- private:
-  struct HeapItem {
-    std::uint64_t qkey = 0;
-    std::uint32_t seq = 0;
-    QueueItem item;
-  };
-  struct After {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      return a.qkey != b.qkey ? a.qkey > b.qkey : a.seq > b.seq;
-    }
-  };
-  std::vector<HeapItem> items_;
-};
-
 /// Window-local slot numbering of one search session over a (grid-
 /// clamped) window: slot = layer·(w·h) + (y − y0)·w + (x − x0). Slots of
 /// the window × layers box are exactly [0, size()), and a label's +x, +y
@@ -228,10 +189,9 @@ struct SearchArena {
   std::vector<std::uint32_t> target_stamp;
   std::vector<Target> target_list;
 
-  // ---- queues (one engine active per config) --------------------------
+  // ---- queue ----------------------------------------------------------
   BucketQueue bucket_queue;
-  HeapQueue heap_queue;
-  std::uint32_t seq = 0;  ///< push sequence, the tie-break of both engines
+  std::uint32_t seq = 0;  ///< push sequence, the queue's tie-break
 
   // ---- per-session guide-cover bitmap over the search window ----------
   std::vector<std::uint64_t> guide_bits;

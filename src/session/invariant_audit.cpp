@@ -113,14 +113,12 @@ AuditReport audit_session(RouterSession& session) {
     note(&rep, util::format("%d grid vertices diverge in total", mismatches));
 
   // ---- grid ↔ conflict index ------------------------------------------
-  if (core::ConflictIndex* index = session.conflict_index()) {
-    const auto incremental = normalized(index->pairs());
-    const auto oracle = normalized(core::violation_pairs(live));
-    if (incremental != oracle)
-      note(&rep, util::format("conflict index holds %d pairs, oracle %d",
-                              static_cast<int>(incremental.size()),
-                              static_cast<int>(oracle.size())));
-  }
+  const auto incremental = normalized(session.conflict_index().pairs());
+  const auto oracle = normalized(core::violation_pairs(live));
+  if (incremental != oracle)
+    note(&rep, util::format("conflict index holds %d pairs, oracle %d",
+                            static_cast<int>(incremental.size()),
+                            static_cast<int>(oracle.size())));
   return rep;
 }
 

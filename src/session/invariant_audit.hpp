@@ -30,9 +30,8 @@ struct AuditReport {
   std::vector<std::string> problems;
 };
 
-/// Cross-check design ↔ grid ↔ solution (and the conflict index when the
-/// session holds one). Read-only; cost is one fresh rasterization plus a
-/// full conflict rescan.
+/// Cross-check design ↔ grid ↔ solution ↔ conflict index. Read-only;
+/// cost is one fresh rasterization plus a full conflict rescan.
 [[nodiscard]] AuditReport audit_session(RouterSession& session);
 
 }  // namespace mrtpl::session

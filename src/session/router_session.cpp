@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "core/conflict.hpp"
 #include "io/design_io.hpp"
 #include "io/solution_io.hpp"
 
@@ -41,8 +40,7 @@ RouterSession::RouterSession(const db::Design& design, SessionConfig config,
   if (config_.initial_deadline_s > 0) budget.deadline_s = config_.initial_deadline_s;
   solution_ = router.run(*grid_, budget);
   initial_stats_ = router.stats();
-  if (config_.router.incremental_conflicts)
-    index_ = std::make_unique<core::ConflictIndex>(*grid_);
+  index_ = std::make_unique<core::ConflictIndex>(*grid_);
 }
 
 RouterSession::RouterSession(const db::Design& design, SessionConfig config,
@@ -57,8 +55,7 @@ RouterSession::RouterSession(const db::Design& design, SessionConfig config,
   solution_ = io::solution_from_string(solution_text, *grid_);
   normalize_dispositions();
   seq_ = seq;
-  if (config_.router.incremental_conflicts)
-    index_ = std::make_unique<core::ConflictIndex>(*grid_);
+  index_ = std::make_unique<core::ConflictIndex>(*grid_);
 }
 
 bool RouterSession::degrade_mode() const {
@@ -162,7 +159,7 @@ EditResponse RouterSession::apply_edit(const Edit& edit,
 
   core::MrTplRouter router(design_, guides(), config_.router);
   const grid::SolutionStatus status =
-      router.reroute(*grid_, index_.get(), dirty, solution_, budget);
+      router.reroute(*grid_, *index_, dirty, solution_, budget);
 
   if (status == grid::SolutionStatus::kDegraded && deadline_s > 0) {
     // A wall deadline is non-deterministic; a tripped one rolls the whole
@@ -184,9 +181,7 @@ EditResponse RouterSession::apply_edit(const Edit& edit,
         !solution_.routes[static_cast<std::size_t>(id)].routed)
       ++resp.failed;
   }
-  resp.conflicts = index_ != nullptr
-                       ? static_cast<int>(index_->conflicts().size())
-                       : static_cast<int>(core::detect_conflicts(*grid_).size());
+  resp.conflicts = static_cast<int>(index_->conflicts().size());
   resp.dispositions = io::dispositions_of(solution_, design_);
   resp.apply_s = clock_() - t0;
   if (hook_) hook_(CommittedEdit{seq_, edit, max_relaxations});
@@ -367,8 +362,7 @@ void RouterSession::rebuild_from(db::Design&& design,
   grid_ = std::make_unique<grid::RoutingGrid>(design_);
   solution_ = io::solution_from_string(solution_text, *grid_);
   normalize_dispositions();
-  if (config_.router.incremental_conflicts)
-    index_ = std::make_unique<core::ConflictIndex>(*grid_);
+  index_ = std::make_unique<core::ConflictIndex>(*grid_);
 }
 
 void RouterSession::normalize_dispositions() {

@@ -81,7 +81,7 @@ TEST(CliSmoke, ThreadedRouteMatchesSerialAndRejectsBadCount) {
 
   ASSERT_EQ(cli::run({"generate", "--case", "tiny", "--out", design_path}), 0);
   ASSERT_EQ(cli::run({"route", "--design", design_path, "--solution",
-                      serial_path, "--threads", "1", "--rescan-conflicts"}),
+                      serial_path, "--threads", "1"}),
             0);
   ASSERT_EQ(cli::run({"route", "--design", design_path, "--solution",
                       parallel_path, "--threads", "4", "--tiles", "4"}),

@@ -168,7 +168,6 @@ TEST(ColorSearch, OutOfWindowVertexIsRejected) {
   const grid::VertexId outside = g.vertex(1, 8, 12);
   EXPECT_THROW(search.add_source(outside, ColorState::all()), std::out_of_range);
   EXPECT_THROW(search.add_target(outside, 1), std::out_of_range);
-  EXPECT_THROW(search.make_source(outside, ColorState::all()), std::out_of_range);
   for (const grid::VertexId v : {outside, g.vertex(0, 0, 6), g.vertex(1, 15, 10),
                                  g.num_vertices(), grid::kInvalidVertex}) {
     EXPECT_FALSE(search.visited(v)) << v;
@@ -225,7 +224,7 @@ TEST(ColorSearch, MakeSourceReseedsTree) {
   search.clear_targets_of_pin(1);
   // Re-seed a mid-path vertex and search for a new target: cost from the
   // new source should be used.
-  search.make_source(g.vertex(0, 8, 8), ColorState(0b100));
+  search.add_source(g.vertex(0, 8, 8), ColorState(0b100));
   search.add_target(g.vertex(0, 8, 14), 2);
   const grid::VertexId reached = search.search();
   ASSERT_NE(reached, grid::kInvalidVertex);

@@ -2,11 +2,13 @@
 /// ConflictIndex oracle suite: the incremental violating-pair engine must
 /// agree with the full-rescan oracle (violation_pairs / detect_conflicts)
 /// after *every* mutation of the committed grid state — random commits,
-/// releases and recolors included — and across a complete routing flow.
+/// releases and recolors included — and on a routed layout under rip-up
+/// and re-commit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -166,21 +168,53 @@ TEST(ConflictIndex, BatchedMutationsBetweenQueries) {
   }
 }
 
-/// End-to-end: the full Mr.TPL flow must serialize identically with the
-/// incremental engine on and off.
-TEST(ConflictIndex, FlowIdenticalWithAndWithoutIncremental) {
+/// A routed layout, not a random walk: the 40×55 flow's initial pass
+/// (its conflicts left in place) replays through its solution text into
+/// a fresh grid that already has an index attached. Then a few rounds of
+/// the RRR usage pattern: release every net a detect_conflicts pass would
+/// rip, compare, re-commit them with shifted masks, compare.
+TEST(ConflictIndex, RoutedLayoutReplayMatchesRescan) {
   const db::Design design = benchgen::generate(test::sized_case(40, 55, 123));
   global::GlobalRouter gr(design);
   const global::GuideSet guides = gr.route_all();
-  auto run_with = [&](bool incremental) {
+  std::string text;
+  {
     grid::RoutingGrid grid(design);
-    core::RouterConfig cfg;
-    cfg.incremental_conflicts = incremental;
-    core::MrTplRouter router(design, &guides, cfg);
-    const grid::Solution sol = router.run(grid);
-    return io::solution_to_string(grid, sol);
-  };
-  EXPECT_EQ(run_with(true), run_with(false));
+    RouterConfig cfg;
+    cfg.max_rrr_iterations = 0;  // keep the initial pass's conflicts to rip
+    MrTplRouter router(design, &guides, cfg);
+    text = io::solution_to_string(grid, router.run(grid));
+  }
+  grid::RoutingGrid grid(design);
+  ConflictIndex index(grid);
+  const grid::Solution solution = io::solution_from_string(text, grid);
+  expect_matches_oracle(grid, index, 0);
+  ASSERT_GT(index.num_pairs(), 0u) << "a conflict-free layout rips nothing";
+
+  for (int round = 1; round <= 4; ++round) {
+    std::vector<char> rip(static_cast<size_t>(design.num_nets()), 0);
+    for (const Conflict& c : detect_conflicts(grid))
+      rip[static_cast<size_t>(c.net_a)] = rip[static_cast<size_t>(c.net_b)] = 1;
+    std::vector<std::pair<const grid::NetRoute*, std::vector<grid::Mask>>> ripped;
+    for (const grid::NetRoute& route : solution.routes) {
+      if (route.net == db::kNoNet || !rip[static_cast<size_t>(route.net)]) continue;
+      // Shift by a per-net amount so the re-commit moves conflicts
+      // instead of restoring them.
+      const auto shift = static_cast<grid::Mask>(1 + (route.net + round) % 2);
+      std::vector<grid::Mask> masks;
+      for (const grid::VertexId v : route.vertices()) {
+        const grid::Mask m = grid.mask(v);
+        masks.push_back(m == grid::kNoMask ? m
+                                           : static_cast<grid::Mask>((m + shift) % 3));
+      }
+      grid::release_route(grid, route);
+      ripped.emplace_back(&route, std::move(masks));
+    }
+    expect_matches_oracle(grid, index, 2 * round - 1);
+    for (const auto& [route, masks] : ripped) grid::commit_route(grid, *route, masks);
+    expect_matches_oracle(grid, index, 2 * round);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 /// \file test_dac12_fidelity.cpp
 /// Behavioral pins for the properties that make the DAC-2012 baseline a
 /// *faithful* replication of the 2012 method rather than a second
-/// Mr.TPL. Table II's shape rests on exactly two behaviours (DESIGN.md
-/// §6 items 4–5): per-subnet junction-blind coloring, and no
-/// color-conflict-driven rip-up. If a refactor accidentally "fixes"
+/// Mr.TPL. Table II's shape rests on exactly two behaviours (property 2
+/// of baseline/dac12_router.hpp and bench/flow.hpp's dac12_config()):
+/// per-subnet junction-blind coloring, and no color-conflict-driven
+/// rip-up. If a refactor accidentally "fixes"
 /// either, these tests fail before the bench does.
 
 #include <gtest/gtest.h>

@@ -1,6 +1,6 @@
 /// \file test_determinism.cpp
-/// DESIGN.md §5 claims full determinism: a (case, seed) pair determines
-/// every layout, route, and metric. These tests run complete flows twice
+/// README "Concurrency model & determinism" claims full determinism: a
+/// (case, seed) pair determines every layout, route, and metric. These tests run complete flows twice
 /// and require byte-identical serializations — the strongest equality the
 /// I/O layer can express.
 
@@ -82,127 +82,78 @@ TEST_P(DeterminismSweep, DifferentSeedsDiffer) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismSweep, ::testing::Values(10, 20, 30));
 
 /// rrr_threads on its own (shard_tiles 1) must be invisible: without a
-/// die tiling the router routes serially, so for ANY worker count, with
-/// either conflict engine, the serialized solution is byte-identical to
-/// the serial reference (rrr_threads = 1, full-rescan conflict detection).
+/// die tiling the router routes serially, so for ANY worker count the
+/// serialized solution is byte-identical to the serial reference
+/// (rrr_threads = 1).
 class ThreadSweepDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ThreadSweepDeterminism, AnyThreadCountMatchesSerialReference) {
   const db::Design design = benchgen::generate(spec_of(GetParam()));
   global::GlobalRouter gr(design);
   const global::GuideSet guides = gr.route_all();
-  auto run_with = [&](int threads, bool incremental) {
+  auto run_with = [&](int threads) {
     grid::RoutingGrid grid(design);
     core::RouterConfig cfg;
     cfg.rrr_threads = threads;
-    cfg.incremental_conflicts = incremental;
     core::MrTplRouter router(design, &guides, cfg);
     const grid::Solution sol = router.run(grid);
     return io::solution_to_string(grid, sol);
   };
-  const std::string reference = run_with(1, false);
-  for (const int threads : {1, 2, 8}) {
-    for (const bool incremental : {false, true}) {
-      EXPECT_EQ(run_with(threads, incremental), reference)
-          << "threads " << threads << " incremental " << incremental << " seed "
-          << GetParam();
-    }
-  }
+  const std::string reference = run_with(1);
+  for (const int threads : {2, 8})
+    EXPECT_EQ(run_with(threads), reference)
+        << "threads " << threads << " seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ThreadSweepDeterminism,
                          ::testing::Values(10, 20, 30));
 
 /// The parallel executor pins a bar stronger than run-to-run stability:
-/// every (shard_tiles, rrr_threads) configuration, with either conflict
-/// engine, must serialize byte-identically to the serial reference
-/// (tiles 1, threads 1, full-rescan conflict detection). Tile ownership,
-/// per-tile GridView compute and the hazard-indexed reconciliation walk
-/// must all be invisible in the output — and in the applied-work ledger:
-/// speculation that fails validation is wasted, never applied, so
-/// `relaxations` and its per-pass split match the serial run exactly.
+/// every (shard_tiles, rrr_threads) configuration must serialize
+/// byte-identically to the serial reference (tiles 1, threads 1). Tile
+/// ownership, per-tile GridView compute and the hazard-indexed
+/// reconciliation walk must all be invisible in the output — and in the
+/// applied-work ledger: speculation that fails validation is wasted,
+/// never applied, so `relaxations` and its per-pass split match the
+/// serial run exactly.
 class ShardSweepDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardSweepDeterminism, AnyTileThreadConfigMatchesSerialReference) {
   const db::Design design = benchgen::generate(spec_of(GetParam()));
   global::GlobalRouter gr(design);
   const global::GuideSet guides = gr.route_all();
-  auto run_with = [&](int tiles, int threads, bool incremental,
-                      core::RouterStats& stats) {
+  auto run_with = [&](int tiles, int threads, core::RouterStats& stats) {
     grid::RoutingGrid grid(design);
     core::RouterConfig cfg;
     cfg.shard_tiles = tiles;
     cfg.rrr_threads = threads;
-    cfg.incremental_conflicts = incremental;
     core::MrTplRouter router(design, &guides, cfg);
     const grid::Solution sol = router.run(grid);
     stats = router.stats();
     return io::solution_to_string(grid, sol);
   };
   core::RouterStats ref;
-  const std::string reference = run_with(1, 1, false, ref);
+  const std::string reference = run_with(1, 1, ref);
   for (const int tiles : {1, 4, 16}) {
     for (const int threads : {1, 2, 8}) {
-      for (const bool incremental : {false, true}) {
-        const std::string config = "tiles " + std::to_string(tiles) + " threads " +
-                                   std::to_string(threads) + " incremental " +
-                                   std::to_string(incremental) + " seed " +
-                                   std::to_string(GetParam());
-        core::RouterStats stats;
-        EXPECT_EQ(run_with(tiles, threads, incremental, stats), reference) << config;
-        EXPECT_EQ(stats.relaxations, ref.relaxations) << config;
-        EXPECT_EQ(stats.relaxations_per_pass, ref.relaxations_per_pass) << config;
-        EXPECT_EQ(std::accumulate(stats.relaxations_per_pass.begin(),
-                                  stats.relaxations_per_pass.end(), std::uint64_t{0}),
-                  stats.relaxations)
-            << config;
-      }
+      if (tiles == 1 && threads == 1) continue;
+      const std::string config = "tiles " + std::to_string(tiles) + " threads " +
+                                 std::to_string(threads) + " seed " +
+                                 std::to_string(GetParam());
+      core::RouterStats stats;
+      EXPECT_EQ(run_with(tiles, threads, stats), reference) << config;
+      EXPECT_EQ(stats.relaxations, ref.relaxations) << config;
+      EXPECT_EQ(stats.relaxations_per_pass, ref.relaxations_per_pass) << config;
+      EXPECT_EQ(std::accumulate(stats.relaxations_per_pass.begin(),
+                                stats.relaxations_per_pass.end(), std::uint64_t{0}),
+                stats.relaxations)
+          << config;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardSweepDeterminism,
                          ::testing::Values(10, 20, 30));
-
-/// The determinism contract of the search hot path (README "Search hot
-/// path"): the bucket queue and the legacy heap implement the same
-/// (quantized key, push sequence) pop order, and the precomputed
-/// congestion field is an exact stand-in for the window scan — so ALL
-/// four engine combinations, serial or on the tile walk, must serialize
-/// byte-identically under the default (A*) search. This is what lets
-/// `bench_search_micro --compare` measure old-vs-new on guaranteed-equal
-/// outputs.
-class EngineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(EngineEquivalence, QueueAndCongestionEnginesAreByteIdentical) {
-  const db::Design design = benchgen::generate(spec_of(GetParam()));
-  global::GlobalRouter gr(design);
-  const global::GuideSet guides = gr.route_all();
-  auto run_with = [&](bool bucket, bool field, int threads) {
-    grid::RoutingGrid grid(design);
-    core::RouterConfig cfg;
-    cfg.use_bucket_queue = bucket;
-    cfg.precomputed_congestion = field;
-    cfg.rrr_threads = threads;
-    cfg.shard_tiles = threads > 1 ? 4 : 1;
-    core::MrTplRouter router(design, &guides, cfg);
-    const grid::Solution sol = router.run(grid);
-    return io::solution_to_string(grid, sol);
-  };
-  const std::string reference = run_with(false, false, 1);  // legacy engine
-  for (const bool bucket : {false, true}) {
-    for (const bool field : {false, true}) {
-      for (const int threads : {1, 2, 8}) {
-        if (!bucket && !field && threads == 1) continue;
-        EXPECT_EQ(run_with(bucket, field, threads), reference)
-            << "bucket " << bucket << " field " << field << " threads "
-            << threads << " seed " << GetParam();
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalence, ::testing::Values(10, 20, 30));
 
 /// Every ablation toggle of RouterConfig, and every combination of the
 /// boolean ones, must leave the router fully deterministic: two

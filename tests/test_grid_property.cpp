@@ -1,15 +1,20 @@
 /// \file test_grid_property.cpp
 /// Structural invariants of the routing grid, swept over layer/size
 /// shapes: vertex<->loc bijection, neighbor inverses, window symmetry of
-/// the Dcolor neighborhood, and commit/release round trips.
+/// the Dcolor neighborhood, commit/release round trips, and the
+/// incrementally maintained congestion field against the window scan it
+/// stands in for.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "benchgen/generator.hpp"
+#include "grid/grid_view.hpp"
 #include "grid/routing_grid.hpp"
 #include "support/builders.hpp"
+#include "util/rng.hpp"
 
 namespace mrtpl::grid {
 namespace {
@@ -175,6 +180,86 @@ TEST(GridHistory, AccumulatesAndClears) {
   EXPECT_NEAR(g.history(v), 3.5, 1e-6);
   g.clear_history();
   EXPECT_DOUBLE_EQ(g.history(v), 0.0);
+}
+
+/// At every TPL vertex of `g` whose Dcolor window (clipped to the die)
+/// lies inside `exact`, the congestion field must equal the per-mask
+/// count of a window scan that excludes no net. A view's field is exact
+/// only there: its edge vertices keep the base's counts of metal outside
+/// the view, which no interior-owned search ever reads (grid_view.hpp).
+void expect_field_matches_scan(const RoutingGrid& g, const geom::Rect& die,
+                               const geom::Rect& exact, const std::string& where) {
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const VertexLoc l = g.loc(v);
+    if (!g.tech().is_tpl_layer(l.layer)) continue;
+    if (!exact.contains(geom::Rect{l.x, l.y, l.x, l.y}
+                            .inflated(g.dcolor())
+                            .intersected(die)))
+      continue;
+    int scan[kNumMasks] = {};
+    g.for_each_colored_neighbor(v, db::kNoNet,
+                                [&scan](VertexId, db::NetId, Mask m) { ++scan[m]; });
+    const std::uint16_t* field = g.colored_neighbor_counts(v);
+    for (Mask m = 0; m < kNumMasks; ++m) {
+      if (field[m] != scan[m]) {
+        ADD_FAILURE() << where << ": vertex (" << l.layer << "," << l.x << ","
+                      << l.y << ") mask " << int{m} << " field " << field[m]
+                      << " scan " << scan[m];
+        return;
+      }
+    }
+  }
+}
+
+/// A random walk of commits (colored and uncolored), recolors and
+/// releases over `g`, with one rerasterize of a random region (all
+/// layers) three quarters of the way. The field is checked against the
+/// scan after every step.
+void walk_and_check(RoutingGrid& g, const geom::Rect& die, const geom::Rect& exact,
+                    util::Rng& rng, const std::string& label) {
+  const auto n = static_cast<std::uint32_t>(g.num_vertices());
+  const auto num_nets = static_cast<std::uint32_t>(g.design().num_nets());
+  const auto random_mask = [&rng] {
+    return rng.next_bool(0.2) ? kNoMask : static_cast<Mask>(rng.next_below(3));
+  };
+  constexpr int kSteps = 200;
+  for (int step = 0; step < kSteps; ++step) {
+    const std::string where = label + " step " + std::to_string(step);
+    if (step == 3 * kSteps / 4) {
+      const geom::Rect b = g.bounds();
+      const int x = rng.next_int(b.lo.x, b.hi.x);
+      const int y = rng.next_int(b.lo.y, b.hi.y);
+      for (int layer = 0; layer < g.num_layers(); ++layer)
+        g.rerasterize(layer, {x, y, x + 8, y + 8});
+    } else {
+      const auto v = static_cast<VertexId>(rng.next_below(n));
+      if (g.blocked(v)) continue;
+      if (g.owner(v) == db::kNoNet)
+        g.commit(v, static_cast<db::NetId>(rng.next_below(num_nets)), random_mask());
+      else if (rng.next_bool(0.4))
+        g.release(v);
+      else
+        g.set_mask(v, random_mask());
+    }
+    expect_field_matches_scan(g, die, exact, where);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(GridProperty, CongestionFieldMatchesWindowScan) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    const db::Design d = benchgen::generate(test::sized_case(24, 20, seed));
+    RoutingGrid base(d);
+    const geom::Rect die = base.bounds();
+    util::Rng rng(seed * 104729 + 7);
+    walk_and_check(base, die, die, rng, "base seed " + std::to_string(seed));
+    if (::testing::Test::HasFailure()) return;
+    // A view starts from the walked base's state, then walks on its own.
+    GridView view(base, {5, 4, 18, 16});
+    walk_and_check(view, die, view.bounds(), rng,
+                   "view seed " + std::to_string(seed));
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace

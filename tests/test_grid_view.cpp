@@ -60,9 +60,10 @@ TEST(GridView, VertexIdMappingMatchesBaseOracle) {
 }
 
 TEST(GridView, LocalIdOrderMatchesGlobalIdOrder) {
-  // choose_colors sorts segSet members by vertex id and set_last_colors
-  // sorts (vertex, mask) pairs — the sharded executor translates AFTER
-  // those sorts, so local order must agree with global order.
+  // choose_colors sorts segSet members by vertex id, which fixes the
+  // order the net's (vertex, mask) commits come out in — the sharded
+  // executor translates ids AFTER that sort, so local order must agree
+  // with global order.
   const db::Design design = routed_design();
   grid::RoutingGrid base(design);
   grid::GridView view(base, {11, 7, 31, 24});

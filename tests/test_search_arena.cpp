@@ -2,12 +2,13 @@
 /// The search hot path's two load-bearing reuse contracts (README "Search
 /// hot path"):
 ///
-///  1. BucketQueue and HeapQueue pop in the SAME total order — (quantized
-///     key, push sequence), lexicographic — including the equal-key FIFO
-///     tie-break and the overflow range. The routing engines' byte-identity
-///     rests on this, so it is pinned element-for-element on randomized
-///     push/pop streams, Dijkstra-shaped and A*-shaped (the latter
-///     recycling the bucket queue's pooled nodes).
+///  1. BucketQueue pops in the SAME total order as the binary-heap oracle
+///     (support/heap_queue_oracle.hpp) — (quantized key, push sequence),
+///     lexicographic — including the equal-key FIFO tie-break and the
+///     overflow range. Routing output rests on this, so it is pinned
+///     element-for-element on randomized push/pop streams, Dijkstra-shaped
+///     and A*-shaped (the latter recycling the bucket queue's pooled
+///     nodes).
 ///  2. A SearchArena reused across an unbounded sequence of nets (epoch
 ///     stamping, no clearing) behaves exactly like fresh per-net state —
 ///     also when consecutive sessions use windows of different shapes,
@@ -35,15 +36,16 @@
 #include "io/solution_io.hpp"
 #include "shard/tile_plan.hpp"
 #include "support/builders.hpp"
+#include "support/heap_queue_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace mrtpl {
 namespace {
 
 using core::BucketQueue;
-using core::HeapQueue;
 using core::QueueItem;
 using core::SlotMap;
+using test::HeapQueue;
 
 /// Reference order: plain stable sort on (qkey, seq).
 struct RefItem {

@@ -278,14 +278,13 @@ TEST(RouterSession, CleanApplyWorkIsLocal) {
   spec.seed = 5;
   RouterSession session(benchgen::generate(spec), quiet_config());
   ASSERT_TRUE(core::detect_conflicts(session.grid()).empty());
-  core::ConflictIndex* index = session.conflict_index();
-  ASSERT_NE(index, nullptr);
+  core::ConflictIndex& index = session.conflict_index();
   std::size_t layout = 0;
   for (const auto& r : session.solution().routes) layout += r.vertices().size();
 
   const db::NetId net = 0;
   std::size_t touched = session.solution().routes[0].vertices().size();
-  const std::uint64_t before = index->vertices_processed();
+  const std::uint64_t before = index.vertices_processed();
   Edit rm;
   rm.kind = EditKind::kRemoveNet;
   rm.net = net;
@@ -302,7 +301,7 @@ TEST(RouterSession, CleanApplyWorkIsLocal) {
   touched += session.solution().routes.back().vertices().size();
 
   ASSERT_GT(layout, 8 * touched) << "the layout must dwarf the edit";
-  EXPECT_LE(index->vertices_processed() - before, 2 * touched)
+  EXPECT_LE(index.vertices_processed() - before, 2 * touched)
       << "layout " << layout << " vertices, edit " << touched;
 }
 

@@ -15,16 +15,14 @@
 ///       Generate a synthetic case and save it.
 ///   route --design <file> [--router mrtpl|dac12|decompose]
 ///       [--solution out.sol] [--svg out.svg] [--no-guides] [--rrr N]
-///       [--threads N] [--tiles K] [--rescan-conflicts] [--deadline S]
-///       [--max-relax N]
+///       [--threads N] [--tiles K] [--deadline S] [--max-relax N]
 ///       Route a saved design, print metrics, optionally dump artifacts.
 ///       --tiles K --threads N shards the die into ~sqrt(K)² tiles and
 ///       routes each pass on N workers via per-tile grid views (the tile
 ///       walk; parallel from K >= 4). --threads alone routes serially.
-///       Output is byte-identical for every tiles/threads combination;
-///       --rescan-conflicts swaps the incremental conflict engine for the
-///       full-rescan debug oracle. --deadline / --max-relax bound the run
-///       (route_budget.hpp); a degraded result exits 4.
+///       Output is byte-identical for every tiles/threads combination.
+///       --deadline / --max-relax bound the run (route_budget.hpp); a
+///       degraded result exits 4.
 ///
 /// Exit codes (pinned by test_cli_smoke): 0 success, 1 flow failure
 /// (conflicts, DRC violations, unexpected errors), 2 usage, 3 malformed
@@ -338,7 +336,6 @@ int cmd_route(const Args& args) {
     }
     config.shard_tiles = *n;
   }
-  if (args.has("rescan-conflicts")) config.incremental_conflicts = false;
 
   core::RouteBudget route_budget;
   if (const auto deadline = args.get("deadline")) {
@@ -604,9 +601,7 @@ int open_session_backend(const Args& args, const char* cmd,
     session::RouterSession& s = *store ? (*store)->session() : **bare;
     std::printf("%s: %d nets routed, %d conflict(s) initially\n", cmd,
                 s.design().num_nets(),
-                s.conflict_index() != nullptr
-                    ? static_cast<int>(s.conflict_index()->conflicts().size())
-                    : static_cast<int>(core::detect_conflicts(s.grid()).size()));
+                static_cast<int>(s.conflict_index().conflicts().size()));
   }
   return 0;
 }
@@ -882,8 +877,8 @@ int run(const std::vector<std::string>& argv) {
                "  generate --case <name> [--out file]\n"
                "  route    --design <file> [--router mrtpl|dac12|decompose]\n"
                "           [--solution file] [--svg file] [--no-guides] [--rrr N]\n"
-               "           [--threads N] [--tiles K] [--rescan-conflicts]\n"
-               "           [--deadline S] [--max-relax N]  (degraded result: exit 4)\n"
+               "           [--threads N] [--tiles K] [--deadline S] [--max-relax N]\n"
+               "           (degraded result: exit 4)\n"
                "           Parallel routing needs --tiles K (K >= 4) with\n"
                "           --threads N; --threads alone routes serially.\n"
                "  eval     --design <file> --solution <file>\n"
