@@ -9,8 +9,9 @@
 #include "flow.hpp"
 #include "util/strings.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mrtpl;
+  bench::parse_quick(argc, argv, /*allow_quick=*/false);
   std::printf("== Ablation A5: Dijkstra vs A* color-state search ==\n\n");
 
   eval::Table table({"case", "mode", "conflict", "stitch", "cost", "relax(M)",

@@ -13,8 +13,9 @@
 #include "layout/recolor.hpp"
 #include "util/strings.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mrtpl;
+  bench::parse_quick(argc, argv, /*allow_quick=*/false);
   std::printf("== Ablation A6: post-hoc recolor repair headroom per flow ==\n\n");
 
   eval::Table table({"case", "flow", "conflict", "  +refine", "stitch",

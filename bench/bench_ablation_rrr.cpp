@@ -6,7 +6,6 @@
 /// trajectory — the value of negotiated congestion for TPL.
 
 #include <cstdio>
-#include <cstring>
 
 #include "eval/report.hpp"
 #include "flow.hpp"
@@ -14,9 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace mrtpl;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  const bool quick = bench::parse_quick(argc, argv);
 
   std::printf("== Ablation A3: RRR iteration budget on a congested case ==\n\n");
 

@@ -8,7 +8,6 @@
 /// quantifying why the industry moved to TPL for these pitches.
 
 #include <cstdio>
-#include <cstring>
 
 #include "eval/report.hpp"
 #include "flow.hpp"
@@ -16,9 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace mrtpl;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  const bool quick = bench::parse_quick(argc, argv);
 
   std::printf("== Extension A4: double vs triple patterning (Mr.TPL router) ==\n\n");
 

@@ -14,8 +14,9 @@
 #include "flow.hpp"
 #include "util/strings.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mrtpl;
+  bench::parse_quick(argc, argv, /*allow_quick=*/false);
   std::printf("== Net-degree sweep: stitches/conflicts vs pins-per-net "
               "(Fig. 1(c) quantified) ==\n\n");
 

@@ -56,8 +56,9 @@ mrtpl::bench::FlowResult run_sharded(const mrtpl::bench::CaseContext& ctx,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mrtpl;
+  bench::parse_quick(argc, argv, /*allow_quick=*/false);
   std::printf("== Scaling sweep: runtime vs die size (fixed density) ==\n\n");
 
   eval::Table table({"die", "nets", "time[5](s)", "time(s)", "shard(s)",

@@ -140,10 +140,23 @@ int run_gate(const char* thresholds_path) {
 int main(int argc, char** argv) {
   const char* thresholds = nullptr;
   bool gate = false;
+  bool benchmark_flags = false;  // left for google-benchmark's own parser
+  bool usage_error = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--gate") == 0) gate = true;
-    if (std::strcmp(argv[i], "--thresholds") == 0 && i + 1 < argc)
-      thresholds = argv[i + 1];
+    if (std::strcmp(argv[i], "--gate") == 0)
+      gate = true;
+    else if (std::strcmp(argv[i], "--thresholds") == 0 && i + 1 < argc)
+      thresholds = argv[++i];
+    else if (std::strncmp(argv[i], "--benchmark_", 12) == 0)
+      benchmark_flags = true;
+    else
+      usage_error = true;
+  }
+  if (usage_error || (gate && benchmark_flags) || (!gate && thresholds != nullptr)) {
+    std::fprintf(stderr,
+                 "usage: bench_search_micro [--benchmark_<flag>...]\n"
+                 "       bench_search_micro --gate [--thresholds FILE]\n");
+    return 2;
   }
   if (gate) return run_gate(thresholds);
 #ifdef MRTPL_HAVE_GOOGLE_BENCHMARK

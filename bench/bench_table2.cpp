@@ -9,7 +9,6 @@
 /// Run with --quick to use only the first 4 cases (CI smoke).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -19,9 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace mrtpl;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  const bool quick = bench::parse_quick(argc, argv);
 
   auto suite = benchgen::ispd2018_suite();
   if (quick) suite.resize(4);

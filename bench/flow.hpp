@@ -4,6 +4,9 @@
 /// (global route -> detailed route -> evaluate) for each router under
 /// comparison. Used by every table/figure regeneration binary.
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "baseline/dac12_router.hpp"
@@ -17,6 +20,25 @@
 #include "util/timer.hpp"
 
 namespace mrtpl::bench {
+
+/// Command line of the table and ablation drivers: returns whether
+/// `--quick` was given. Any other word prints the usage and exits 2, so a
+/// typo such as `--quik` cannot silently run the full sweep. Drivers
+/// without a quick variant pass `allow_quick = false` and take no
+/// argument at all.
+inline bool parse_quick(int argc, char** argv, bool allow_quick = true) {
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    if (allow_quick && std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+      continue;
+    }
+    std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s%s\n", argv[0],
+                 argv[i], argv[0], allow_quick ? " [--quick]" : "");
+    std::exit(2);
+  }
+  return quick;
+}
 
 struct FlowResult {
   eval::Metrics metrics;

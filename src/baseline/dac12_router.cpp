@@ -34,8 +34,7 @@ void Dac12Router::touch(Node n) {
 grid::NetRoute Dac12Router::route_net(grid::RoutingGrid& grid, db::NetId net_id) {
   const auto& rules = grid.tech().rules();
   const double beta = config_.beta_override >= 0 ? config_.beta_override : rules.beta;
-  const double gamma =
-      config_.gamma_override >= 0 ? config_.gamma_override : rules.gamma;
+  const double gamma = rules.gamma;
 
   const int num_masks = rules.num_masks;  // 2 = DPL mode, 3 = TPL
 

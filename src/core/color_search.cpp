@@ -29,7 +29,7 @@ ColorSearch::ColorSearch(const grid::RoutingGrid& grid, RouterConfig config,
   }
   const auto& rules = grid.tech().rules();
   beta_ = config_.beta_override >= 0 ? config_.beta_override : rules.beta;
-  gamma_ = config_.gamma_override >= 0 ? config_.gamma_override : rules.gamma;
+  gamma_ = rules.gamma;
   // Cheapest possible per-step cost: a preferred-direction wire move with
   // zero color cost. Multiplying it by the Manhattan distance to the
   // nearest target never overestimates, so A* stays admissible.

@@ -315,8 +315,6 @@ void MrTplRouter::choose_colors(
 
   const auto& rules = grid.tech().rules();
   const double beta = config_.beta_override >= 0 ? config_.beta_override : rules.beta;
-  const double gamma =
-      config_.gamma_override >= 0 ? config_.gamma_override : rules.gamma;
   std::unordered_map<SegSetId, grid::Mask> committed_root_mask;
   for (const SegSetId root : order) {
     auto& members = groups[root];
@@ -342,7 +340,7 @@ void MrTplRouter::choose_colors(
     double best_penalty = std::numeric_limits<double>::infinity();
     for (grid::Mask c = 0; c < grid::kNumMasks; ++c) {
       if (!universe.contains(c)) continue;  // DPL: mask 2 unavailable
-      double penalty = gamma * counts[c];
+      double penalty = rules.gamma * counts[c];
       if (!state.contains(c)) penalty += beta;
       // Stitch alignment: every already-colored adjacent segSet of this
       // net on a different mask costs one stitch.
@@ -399,15 +397,13 @@ std::optional<geom::Rect> colors_bbox(
   return box;
 }
 
-}  // namespace
-
 /// A restorable copy of the committed layout: per-net routes plus the mask
 /// of every routed vertex. Negotiated RRR is not monotonic — on heavily
 /// congested cases history-cost detours can make a later iteration worse
 /// than an earlier one — so the driver keeps the best iterate and restores
 /// it at the end instead of returning whatever the last iteration left.
 /// An infinite score marks an empty snapshot: nothing captured yet.
-struct MrTplRouter::LayoutSnapshot {
+struct LayoutSnapshot {
   grid::Solution solution;
   std::vector<std::vector<grid::Mask>> masks;  ///< parallel to routes[i].vertices()
   double score = std::numeric_limits<double>::infinity();
@@ -437,6 +433,8 @@ struct MrTplRouter::LayoutSnapshot {
       grid::commit_route(grid, solution.routes[i], masks[i]);
   }
 };
+
+}  // namespace
 
 struct MrTplRouter::Workers {
   Workers(const grid::RoutingGrid& grid, const RouterConfig& config,
@@ -611,32 +609,9 @@ void MrTplRouter::begin_run(const RouteBudget& budget, grid::Solution& solution)
   }
 }
 
-void MrTplRouter::capture_checkpoint(const grid::RoutingGrid& grid,
-                                     const grid::Solution& solution,
-                                     const LayoutSnapshot& best, int next_iter,
-                                     RouterCheckpoint* pending) const {
-  // Tripping mid-pass leaves skipped nets in `solution`, so the latch
-  // check also keeps those states out of checkpoints.
-  if (pending == nullptr || budget_.tripped()) return;
-  LayoutSnapshot now = LayoutSnapshot::capture(grid, solution, 0.0);
-  pending->valid = true;
-  pending->iteration = next_iter;
-  pending->solution = std::move(now.solution);
-  pending->masks = std::move(now.masks);
-  pending->history.resize(grid.num_vertices());
-  for (grid::VertexId v = 0; v < grid.num_vertices(); ++v)
-    pending->history[v] = static_cast<float>(grid.history(v));
-  pending->extra_margin = extra_margin_;
-  pending->conflicts_per_iter = stats_.conflicts_per_iter;
-  pending->best_solution = best.solution;
-  pending->best_masks = best.masks;
-  pending->best_score = best.score;
-}
-
 void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
-                           Workers* workers, ConflictIndex& index, int start_iter,
-                           LayoutSnapshot& best, grid::Solution& solution,
-                           RouterCheckpoint* pending) {
+                           Workers* workers, ConflictIndex& index,
+                           grid::Solution& solution) {
   auto detect = [&] {
     util::Timer t;
     auto conflicts = index.conflicts();
@@ -655,6 +630,7 @@ void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
   // off it. Until something has been captured there is nothing to compare
   // with, so the first iterate wins unscored — a loop that never rips (a
   // clean ECO apply) never copies, re-scores or restores the layout.
+  LayoutSnapshot best;
   bool grid_is_best = false;   // the grid holds the best iterate so far
   bool considered = false;     // ... as of the grid's current iterate
   std::optional<double> grid_score;
@@ -678,7 +654,7 @@ void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
   // history cost, bounded by max iterations. Blockage failures (a pin
   // walled in by earlier nets) are handled the same way: the blockers in
   // the failed net's window are ripped and the failed net retries first.
-  for (int iter = start_iter; iter < config_.max_rrr_iterations; ++iter) {
+  for (int iter = 0; iter < config_.max_rrr_iterations; ++iter) {
     if (budget_.active() && budget_.expired(stats_.relaxations)) break;
     const auto conflicts = detect();
     stats_.conflicts_per_iter.push_back(static_cast<int>(conflicts.size()));
@@ -743,7 +719,6 @@ void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
     for (const db::NetId id : ripped)
       if (solution.routes[static_cast<size_t>(id)].routed)
         extra_margin_[static_cast<size_t>(id)] = 0;
-    capture_checkpoint(grid, solution, best, iter + 1, pending);
   }
   // Judge the state the loop ended on (the per-iteration check above sees
   // each state *before* its reroute, so the last reroute's result is still
@@ -771,12 +746,7 @@ void MrTplRouter::rrr_loop(grid::RoutingGrid& grid, ColorSearch& search,
     if (!r.routed && r.net != db::kNoNet) ++stats_.failed_nets;
 }
 
-grid::Solution MrTplRouter::run(grid::RoutingGrid& grid) {
-  return run(grid, RouteBudget{}, nullptr);
-}
-
-grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budget,
-                                RouterCheckpoint* checkpoint) {
+grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budget) {
   util::Timer timer;
   grid::Solution solution;
   begin_run(budget, solution);
@@ -785,8 +755,8 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
 
   // Incremental conflict engine: subscribes to the grid's dirty log so
   // each detection pass costs O(rip delta × window), not O(die).
-  // Constructed before any commit (including a checkpoint restore below)
-  // so its log sees every change since the empty grid.
+  // Constructed before any commit so its log sees every change since the
+  // empty grid.
   ConflictIndex index(grid);
 
   // The tile walk needs both a pool and a die tiling; any other
@@ -796,45 +766,13 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
     workers = std::make_unique<Workers>(grid, config_,
                                         budget_.active() ? &budget_ : nullptr);
 
-  LayoutSnapshot best;
-  RouterCheckpoint pending;
-  RouterCheckpoint* const capture = checkpoint != nullptr ? &pending : nullptr;
-  int start_iter = 0;
-  if (checkpoint != nullptr && checkpoint->valid) {
-    // Resume: replay the checkpoint into the fresh grid. commit_route
-    // rebuilds owners/masks/congestion counts; history is restored
-    // directly; the conflict index (subscribed above) absorbs the commits
-    // through the dirty log like any route pass.
-    solution = checkpoint->solution;
-    for (size_t i = 0; i < solution.routes.size(); ++i)
-      grid::commit_route(grid, solution.routes[i], checkpoint->masks[i]);
-    for (grid::VertexId v = 0;
-         v < std::min<std::size_t>(checkpoint->history.size(), grid.num_vertices());
-         ++v)
-      if (checkpoint->history[v] != 0.0f) grid.add_history(v, checkpoint->history[v]);
-    extra_margin_ = checkpoint->extra_margin;
-    extra_margin_.resize(static_cast<size_t>(design_.num_nets()), 0);
-    stats_.conflicts_per_iter = checkpoint->conflicts_per_iter;
-    if (!checkpoint->best_masks.empty()) {
-      best.solution = checkpoint->best_solution;
-      best.masks = checkpoint->best_masks;
-      best.score = checkpoint->best_score;
-    }
-    start_iter = checkpoint->iteration;
-    // Re-capture the restored state: if this run is interrupted again
-    // before reaching a new boundary, the written-back checkpoint equals
-    // the one we resumed from instead of invalidating it.
-    capture_checkpoint(grid, solution, best, start_iter, capture);
-  } else {
-    // Fig. 2 middle column: route every net once.
-    std::vector<db::NetId> all(static_cast<size_t>(design_.num_nets()));
-    std::iota(all.begin(), all.end(), 0);
-    route_list(grid, search, workers.get(), route_order(design_, std::move(all)),
-               solution);
-    capture_checkpoint(grid, solution, best, 0, capture);
-  }
+  // Fig. 2 middle column: route every net once.
+  std::vector<db::NetId> all(static_cast<size_t>(design_.num_nets()));
+  std::iota(all.begin(), all.end(), 0);
+  route_list(grid, search, workers.get(), route_order(design_, std::move(all)),
+             solution);
 
-  rrr_loop(grid, search, workers.get(), index, start_iter, best, solution, capture);
+  rrr_loop(grid, search, workers.get(), index, solution);
 
   if (stats_.budget_hit)
     util::warn("mrtpl",
@@ -842,12 +780,6 @@ grid::Solution MrTplRouter::run(grid::RoutingGrid& grid, const RouteBudget& budg
                             "(%d partial, %d skipped net(s) in returned iterate)",
                             stats_.rrr_iterations, solution.num_partial(),
                             solution.num_skipped()));
-  if (checkpoint != nullptr) {
-    if (stats_.budget_hit && pending.valid)
-      *checkpoint = std::move(pending);
-    else
-      checkpoint->valid = false;  // run completed, or no clean boundary reached
-  }
   stats_.arena_slots = search.arena_slots();
   if (workers != nullptr)
     for (const auto& arena : workers->arenas)
@@ -876,8 +808,7 @@ grid::SolutionStatus MrTplRouter::reroute(grid::RoutingGrid& grid,
   // (the pre-edit state was an accepted iterate), so ripping stays local
   // in practice while remaining globally correct.
   route_list(grid, search, nullptr, work, solution);
-  LayoutSnapshot best;
-  rrr_loop(grid, search, nullptr, index, 0, best, solution, nullptr);
+  rrr_loop(grid, search, nullptr, index, solution);
   stats_.arena_slots = search.arena_slots();
   stats_.runtime_s = timer.elapsed_s();
   return solution.status;

@@ -50,27 +50,6 @@ struct RouterStats {
   bool budget_hit = false;
 };
 
-/// Resumable router state at an RRR iteration boundary, produced by
-/// `run(grid, budget, &checkpoint)` when a budget stops the run, and
-/// consumed by a later run() call on a FRESH grid of the same design.
-/// Checkpoints are only taken at *clean* boundaries — states an
-/// uninterrupted run also passes through — so resuming with a fresh
-/// (or unlimited) budget reproduces the uninterrupted run's final
-/// solution byte-for-byte (pinned by test_snapshot_restore).
-struct RouterCheckpoint {
-  bool valid = false;
-  int iteration = 0;  ///< next RRR iteration to execute (0 = initial pass done)
-  grid::Solution solution;                      ///< committed layout
-  std::vector<std::vector<grid::Mask>> masks;   ///< parallel to routes[i].vertices()
-  std::vector<float> history;                   ///< per-vertex history cost
-  std::vector<int> extra_margin;                ///< per-net widened windows
-  std::vector<int> conflicts_per_iter;          ///< stats continuity
-  /// Best iterate seen so far (the run's final keep-best restore point).
-  grid::Solution best_solution;
-  std::vector<std::vector<grid::Mask>> best_masks;
-  double best_score = 0.0;  ///< meaningful only when best_masks nonempty
-};
-
 /// Net routing order of `nets`: short, low-degree nets first (key
 /// bbox width + height + 4 · degree), ties by id. Dead (zero-pin) and
 /// out-of-range ids are dropped and duplicates collapse. The id tie-break
@@ -90,20 +69,11 @@ class MrTplRouter {
               RouterConfig config = {});
 
   /// Route all nets with rip-up & reroute. The grid must be freshly built
-  /// from the same design.
-  grid::Solution run(grid::RoutingGrid& grid);
-
-  /// Budgeted run (route_budget.hpp). With an exhausted budget the run
-  /// stops ripping, keeps the best iterate it reached, and returns a
-  /// kDegraded solution with per-net dispositions; with `budget` unlimited
-  /// the output is byte-identical to run(grid). When `checkpoint` is
-  /// non-null: if checkpoint->valid, the run RESUMES from it (the grid
-  /// must be freshly built — the checkpoint's layout is committed into
-  /// it); on a budget stop, the last clean iteration boundary is written
-  /// back into *checkpoint (valid=false when the run completed or never
-  /// reached a clean boundary).
-  grid::Solution run(grid::RoutingGrid& grid, const RouteBudget& budget,
-                     RouterCheckpoint* checkpoint = nullptr);
+  /// from the same design. With an exhausted budget (route_budget.hpp)
+  /// the run stops ripping, keeps the best iterate it reached, and returns
+  /// a kDegraded solution with per-net dispositions; with the budget
+  /// unlimited (the default) it runs to completion.
+  grid::Solution run(grid::RoutingGrid& grid, const RouteBudget& budget = {});
 
   [[nodiscard]] const RouterStats& stats() const { return stats_; }
 
@@ -167,9 +137,6 @@ class MrTplRouter {
   /// after the first few nets warm the arenas the parallel hot path
   /// allocates nothing.
   struct Workers;
-
-  /// A restorable copy of the committed layout (mrtpl_router.cpp).
-  struct LayoutSnapshot;
 
   /// compute_route with every exception (injected allocation failures,
   /// unexpected search errors) converted into a failed outcome — the
@@ -260,34 +227,22 @@ class MrTplRouter {
   void begin_run(const RouteBudget& budget, grid::Solution& solution);
 
   /// The Fig. 2 rip-up-and-reroute loop shared by run() and reroute(),
-  /// starting after the initial pass at iteration `start_iter`: conflict
-  /// detection (`index`), history update, window widening, blocker sweep,
-  /// ripped order, reroute, then the keep-best restore and the final
-  /// status/failed-net accounting. `best` carries the best iterate so far
-  /// in and out; it is captured lazily, just before a rip moves the grid
-  /// off the best iterate, so a loop that never rips never copies or
-  /// re-scores the layout. With `pending` non-null, every clean iteration
-  /// boundary is captured into it.
+  /// starting after the initial pass: conflict detection (`index`),
+  /// history update, window widening, blocker sweep, ripped order,
+  /// reroute, then the keep-best restore and the final status/failed-net
+  /// accounting. The best iterate is captured lazily, just before a rip
+  /// moves the grid off it, so a loop that never rips never copies or
+  /// re-scores the layout.
   void rrr_loop(grid::RoutingGrid& grid, ColorSearch& search, Workers* workers,
-                ConflictIndex& index, int start_iter, LayoutSnapshot& best,
-                grid::Solution& solution, RouterCheckpoint* pending);
-
-  /// Capture the clean boundary before iteration `next_iter` into
-  /// `*pending`. No-op when `pending` is null or the budget has tripped —
-  /// every captured state is one an uninterrupted run also passes through,
-  /// which is what makes resume-then-finish byte-identical.
-  void capture_checkpoint(const grid::RoutingGrid& grid,
-                          const grid::Solution& solution,
-                          const LayoutSnapshot& best, int next_iter,
-                          RouterCheckpoint* pending) const;
+                ConflictIndex& index, grid::Solution& solution);
 
   const db::Design& design_;
   const global::GuideSet* guides_;
   RouterConfig config_;
   RouterStats stats_;
 
-  /// Armed budget of the current run (inactive when run(grid) was called
-  /// without one). route_list consults it at per-net commit points; the
+  /// Armed budget of the current run (inactive when the run's budget is
+  /// unlimited). route_list consults it at per-net commit points; the
   /// ColorSearch instances poll it mid-search for deadline/cancel.
   BudgetTracker budget_;
 

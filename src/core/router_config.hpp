@@ -1,12 +1,13 @@
 #pragma once
 /// \file router_config.hpp
-/// Tunables of the Mr.TPL detailed router. Weight defaults follow the
-/// TechRules of the design. Every field has a production reader: the
-/// ablation benches A1–A5 (bench/bench_ablation_*.cpp,
-/// bench_dpl_vs_tpl.cpp), the paper-table and baseline configurations
-/// (bench/flow.hpp's paper_config() and dac12_config()), and the tile
-/// walk's shard_tiles/rrr_threads (CLI `route --tiles --threads`,
-/// perfbench). The search always runs the bucket queue and the
+/// Tunables of the Mr.TPL detailed router. The cost weights come from the
+/// TechRules of the design; only the stitch weight beta can be overridden,
+/// for the A2 sweep. Every field has a production reader: the ablation
+/// benches A1–A5 (bench/bench_ablation_*.cpp, bench_dpl_vs_tpl.cpp), the
+/// paper-table and baseline configurations (bench/flow.hpp's
+/// paper_config() and dac12_config()), and the tile walk's
+/// shard_tiles/rrr_threads (CLI `route --tiles --threads`, perfbench).
+/// The search always runs the bucket queue and the
 /// congestion field, and the RRR loop always keeps a ConflictIndex; their
 /// slow reference engines live in the tests as oracles, not here.
 
@@ -57,10 +58,9 @@ struct RouterConfig {
   /// set-based color-state merging contribution.
   bool set_based_states = true;
 
-  /// Override beta (stitch weight) / gamma (color-conflict weight) from
-  /// the tech rules when >= 0; used by the A2 sweep.
+  /// A2: override beta (the stitch weight) from the tech rules when >= 0.
+  /// The conflict weight gamma always comes from the tech rules.
   double beta_override = -1.0;
-  double gamma_override = -1.0;
 
   /// When false, skip coloring entirely (plain-router mode used by the
   /// decomposition flow of Table III).

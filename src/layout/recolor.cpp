@@ -74,9 +74,8 @@ RecolorStats recolor_refine(grid::RoutingGrid& grid,
   if (graph.segments.empty()) return stats;
 
   const auto& rules = grid.tech().rules();
-  const double beta = config.beta_override >= 0 ? config.beta_override : rules.beta;
-  const double gamma =
-      config.gamma_override >= 0 ? config.gamma_override : rules.gamma;
+  const double beta = rules.beta;
+  const double gamma = rules.gamma;
   const int num_masks = rules.num_masks;
 
   // Touch-edge incidence per segment.

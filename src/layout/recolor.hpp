@@ -24,11 +24,9 @@
 
 namespace mrtpl::layout {
 
+/// The objective weights (beta, gamma) come from the design's tech rules.
 struct RecolorConfig {
   int max_passes = 8;
-  /// Objective weights; negative means "use the design's tech rules".
-  double beta_override = -1.0;   ///< stitch weight
-  double gamma_override = -1.0;  ///< conflict weight
 };
 
 struct RecolorStats {

@@ -13,7 +13,7 @@
 namespace mrtpl::test {
 
 /// 20x20, 2 layers, one 4-pin net — the Fig. 3 setting. The canonical
-/// single-net fixture for router/steiner/metric tests.
+/// single-net fixture for router and metric tests.
 [[nodiscard]] db::Design four_pin_design();
 
 /// 16x16, 2 layers (M1 horizontal TPL, M2 vertical TPL), one 2-pin net

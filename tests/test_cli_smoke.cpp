@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -37,6 +38,33 @@ TEST(CliSmoke, UsageAndUnknownCommand) {
   EXPECT_EQ(cli::run({"generate"}), 2);  // missing --case
   EXPECT_EQ(cli::run({"generate", "--case", "no_such_case"}), 2);
   EXPECT_EQ(cli::run({"list-cases"}), 0);
+}
+
+// A flag the subcommand does not accept, or a stray positional word, is a
+// usage error caught before any work: a typo such as `--tile 4` must not
+// route serially and exit 0.
+TEST(CliSmoke, RejectsUnknownFlagsAndStrayWords) {
+  const std::string design_path = tmp_path("strict.design");
+  const std::string out_path = tmp_path("strict_out");
+  ASSERT_EQ(cli::run({"generate", "--case", "tiny", "--out", design_path}), 0);
+  std::remove(out_path.c_str());
+
+  EXPECT_EQ(cli::run({"route", "--design", design_path, "--solution", out_path,
+                      "--tile", "4"}),
+            2);
+  EXPECT_EQ(cli::run({"route", "--design", design_path, "--solution", out_path,
+                      "--tiles", "4", "--threads", "2", "--bogus-flag"}),
+            2);
+  EXPECT_EQ(cli::run({"generate", "--case", "tiny", "--out", out_path,
+                      "--tiles", "4"}),
+            2);
+  // Stray positionals: after a value, after a switch, before any flag.
+  EXPECT_EQ(cli::run({"route", "--design", design_path, "extra"}), 2);
+  EXPECT_EQ(cli::run({"route", "--design", design_path, "--no-guides", "extra"}), 2);
+  EXPECT_EQ(cli::run({"eval", "extra", "--design", design_path}), 2);
+  EXPECT_EQ(cli::run({"list-cases", "--quick"}), 2);
+  EXPECT_EQ(cli::run({"route", "--design"}), 2);  // value flag without value
+  EXPECT_FALSE(std::ifstream(out_path).good()) << "a rejected command wrote output";
 }
 
 TEST(CliSmoke, GenerateRouteEvalVerifyRoundTrip) {

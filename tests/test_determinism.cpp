@@ -166,10 +166,7 @@ class ConfigDeterminism : public ::testing::TestWithParam<int> {
     cfg.set_based_states = (bits & 2) != 0;
     cfg.enable_coloring = (bits & 4) != 0;
     cfg.use_astar = (bits & 8) != 0;
-    if ((bits & 16) != 0) {  // the A2 weight-override sweep
-      cfg.beta_override = 0.5;
-      cfg.gamma_override = 3.0;
-    }
+    if ((bits & 16) != 0) cfg.beta_override = 0.5;  // the A2 stitch-weight sweep
     if ((bits & 32) != 0) cfg.max_rrr_iterations = 1;
     return cfg;
   }

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "geom/interval.hpp"
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
 
@@ -77,37 +76,6 @@ TEST(Rect, DistanceToPoint) {
   EXPECT_EQ(r.chebyshev_to({0, 0}), 2);
   EXPECT_EQ(r.manhattan_to({0, 0}), 4);
   EXPECT_EQ(r.manhattan_to({7, 6}), 3);
-}
-
-TEST(Interval, Basics) {
-  const Interval e;
-  EXPECT_TRUE(e.empty());
-  EXPECT_EQ(e.length(), 0);
-  const Interval i{2, 5};
-  EXPECT_FALSE(i.empty());
-  EXPECT_EQ(i.length(), 4);
-  EXPECT_TRUE(i.contains(2));
-  EXPECT_TRUE(i.contains(5));
-  EXPECT_FALSE(i.contains(6));
-}
-
-TEST(Interval, OverlapTouchDistance) {
-  const Interval a{0, 3}, b{4, 6}, c{5, 9};
-  EXPECT_FALSE(a.overlaps(b));
-  EXPECT_TRUE(a.touches(b));   // abutting counts
-  EXPECT_FALSE(a.touches(c));
-  EXPECT_TRUE(b.overlaps(c));
-  EXPECT_EQ(a.distance_to(b), 1);
-  EXPECT_EQ(a.distance_to(c), 2);
-  EXPECT_EQ(b.distance_to(c), 0);
-}
-
-TEST(Interval, SetOps) {
-  const Interval a{0, 3}, b{2, 6};
-  EXPECT_EQ(a.united(b), Interval(0, 6));
-  EXPECT_EQ(a.intersected(b), Interval(2, 3));
-  EXPECT_TRUE(a.intersected(Interval{5, 6}).empty());
-  EXPECT_EQ(Interval().united(a), a);
 }
 
 // Property sweep: union contains both operands; intersection is inside both.

@@ -87,95 +87,6 @@ TEST_P(SnapshotSweep, FinalNeverWorseThanFirstIterate) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotSweep,
                          ::testing::Values(2, 9, 27, 64, 125, 216));
 
-// ---- checkpoint / resume ------------------------------------------------
-// Budget interruption must compose with the keep-best snapshot machinery:
-// a run cancelled mid-RRR hands back a checkpoint at the last CLEAN
-// iteration boundary, and resuming from it with a fresh budget must land
-// on the uninterrupted run's final solution byte-for-byte.
-
-TEST(Snapshot, CancelledRunResumesToUninterruptedResult) {
-  const db::Design design = benchgen::generate(congested_spec(55));
-  RouterConfig cfg;
-  cfg.max_rrr_iterations = 4;
-
-  // Uninterrupted reference.
-  grid::RoutingGrid grid_ref(design);
-  MrTplRouter router_ref(design, nullptr, cfg);
-  const grid::Solution ref = router_ref.run(grid_ref);
-  const std::string ref_text = io::solution_to_string(grid_ref, ref);
-  ASSERT_FALSE(router_ref.stats().relaxations_per_pass.empty());
-  const std::uint64_t pass0 = router_ref.stats().relaxations_per_pass[0];
-
-  // Interrupt just after the initial pass: the budget lets the initial
-  // route_list finish (boundary 0 is captured while untripped) and then
-  // expires during RRR iteration 0's reroutes.
-  RouteBudget budget;
-  budget.max_relaxations = pass0 + 1;
-  RouterCheckpoint checkpoint;
-  grid::RoutingGrid grid_cut(design);
-  MrTplRouter router_cut(design, nullptr, cfg);
-  const grid::Solution cut = router_cut.run(grid_cut, budget, &checkpoint);
-  ASSERT_TRUE(cut.degraded());
-  ASSERT_TRUE(checkpoint.valid);
-  // The boundary is the initial pass (0) or, if iteration 0 squeaked in
-  // under the bound, the next clean boundary — never the final iterate.
-  EXPECT_LT(checkpoint.iteration, cfg.max_rrr_iterations);
-
-  // Resume on a fresh grid with an unlimited budget: identical final
-  // layout, and the consumed checkpoint is invalidated (run completed).
-  grid::RoutingGrid grid_res(design);
-  MrTplRouter router_res(design, nullptr, cfg);
-  const grid::Solution resumed =
-      router_res.run(grid_res, RouteBudget{}, &checkpoint);
-  EXPECT_FALSE(resumed.degraded());
-  EXPECT_FALSE(checkpoint.valid);
-  EXPECT_EQ(io::solution_to_string(grid_res, resumed), ref_text);
-}
-
-TEST(Snapshot, ResumeSurvivesASecondInterruption) {
-  const db::Design design = benchgen::generate(congested_spec(77));
-  RouterConfig cfg;
-  cfg.max_rrr_iterations = 4;
-
-  grid::RoutingGrid grid_ref(design);
-  MrTplRouter router_ref(design, nullptr, cfg);
-  const grid::Solution ref = router_ref.run(grid_ref);
-  const std::string ref_text = io::solution_to_string(grid_ref, ref);
-  const auto& passes = router_ref.stats().relaxations_per_pass;
-  ASSERT_FALSE(passes.empty());
-
-  // First cut: after the initial pass.
-  RouteBudget budget;
-  budget.max_relaxations = passes[0] + 1;
-  RouterCheckpoint checkpoint;
-  {
-    grid::RoutingGrid grid(design);
-    MrTplRouter router(design, nullptr, cfg);
-    const grid::Solution cut = router.run(grid, budget, &checkpoint);
-    ASSERT_TRUE(cut.degraded());
-    ASSERT_TRUE(checkpoint.valid);
-  }
-
-  // Second cut: resume, then cancel again almost immediately. The run
-  // must re-capture its entry boundary so the checkpoint is not lost.
-  {
-    RouteBudget tiny;
-    tiny.max_relaxations = 1;
-    grid::RoutingGrid grid(design);
-    MrTplRouter router(design, nullptr, cfg);
-    const grid::Solution cut = router.run(grid, tiny, &checkpoint);
-    ASSERT_TRUE(cut.degraded());
-    ASSERT_TRUE(checkpoint.valid) << "resume state lost on re-interruption";
-  }
-
-  // Final resume with no budget must still converge to the reference.
-  grid::RoutingGrid grid(design);
-  MrTplRouter router(design, nullptr, cfg);
-  const grid::Solution resumed = router.run(grid, RouteBudget{}, &checkpoint);
-  EXPECT_FALSE(resumed.degraded());
-  EXPECT_EQ(io::solution_to_string(grid, resumed), ref_text);
-}
-
 // ---- keep-best oracles --------------------------------------------------
 // The best iterate is captured lazily (only before a rip moves the grid
 // off it) and the final restore is skipped when the grid already holds

@@ -2,7 +2,6 @@
 
 #include "benchgen/generator.hpp"
 #include "core/mrtpl_router.hpp"
-#include "viz/ascii_render.hpp"
 #include "viz/svg_render.hpp"
 
 namespace mrtpl::viz {
@@ -19,60 +18,6 @@ db::Design routed_design(grid::RoutingGrid** out_grid) {
   }
   *out_grid = &grid;
   return design;
-}
-
-TEST(AsciiRender, DimensionsMatchGrid) {
-  grid::RoutingGrid* grid = nullptr;
-  routed_design(&grid);
-  const std::string s = render_layer(*grid, 0);
-  // size_y rows, each size_x + newline.
-  EXPECT_EQ(s.size(),
-            static_cast<size_t>((grid->size_x() + 1) * grid->size_y()));
-}
-
-TEST(AsciiRender, ShowsMasksAndBlockages) {
-  grid::RoutingGrid* grid = nullptr;
-  routed_design(&grid);
-  const std::string s = render_layer(*grid, 0);
-  // The routed tiny case has at least one colored wire and one macro.
-  EXPECT_TRUE(s.find('r') != std::string::npos || s.find('g') != std::string::npos ||
-              s.find('b') != std::string::npos);
-  EXPECT_NE(s.find('#'), std::string::npos);
-  // No uncolored routed metal on a TPL layer after Mr.TPL.
-  EXPECT_EQ(s.find('?'), std::string::npos);
-}
-
-TEST(AsciiRender, AllLayersHaveHeaders) {
-  grid::RoutingGrid* grid = nullptr;
-  routed_design(&grid);
-  const std::string s = render_all(*grid);
-  EXPECT_NE(s.find("-- M1 (H, TPL) --"), std::string::npos);
-  EXPECT_NE(s.find("-- M2 (V, TPL) --"), std::string::npos);
-  EXPECT_NE(s.find("-- M3 (H) --"), std::string::npos);
-}
-
-TEST(AsciiRender, ConflictOverlay) {
-  db::Design d("v", db::Tech::make_default(2, 2), {0, 0, 9, 9});
-  const db::NetId a = d.add_net("a");
-  const db::NetId b = d.add_net("b");
-  db::Pin p;
-  p.layer = 0;
-  p.shapes = {{0, 0, 0, 0}};
-  d.add_pin(a, p);
-  p.shapes = {{0, 2, 0, 2}};
-  d.add_pin(a, p);
-  p.shapes = {{9, 9, 9, 9}};
-  d.add_pin(b, p);
-  p.shapes = {{9, 7, 9, 7}};
-  d.add_pin(b, p);
-  d.validate();
-  grid::RoutingGrid g(d);
-  g.commit(g.vertex(0, 5, 5), a, 1);
-  g.commit(g.vertex(0, 6, 5), b, 1);  // same-mask conflict
-  AsciiOptions opts;
-  opts.mark_conflicts = true;
-  const std::string s = render_layer(g, 0, opts);
-  EXPECT_NE(s.find('!'), std::string::npos);
 }
 
 TEST(SvgRender, WellFormedDocument) {

@@ -25,8 +25,9 @@
 ///       degraded result exits 4.
 ///
 /// Exit codes (pinned by test_cli_smoke): 0 success, 1 flow failure
-/// (conflicts, DRC violations, unexpected errors), 2 usage, 3 malformed
-/// input (io::ParseError), 4 budget-degraded result.
+/// (conflicts, DRC violations, unexpected errors), 2 usage (including a
+/// flag the subcommand does not accept and a stray positional word), 3
+/// malformed input (io::ParseError), 4 budget-degraded result.
 ///   eval --design <file> --solution <file>
 ///       Re-verify a saved solution (conflicts/stitches/cost) offline.
 ///   verify --design <file> --solution <file> [--no-color-check]
@@ -101,26 +102,67 @@
 namespace mrtpl::cli {
 namespace {
 
-/// Minimal --flag/value option parser; positional[0] is the subcommand.
+/// The flags each subcommand accepts, space-separated. A trailing '='
+/// marks a flag that takes a value; the others are switches.
+const std::map<std::string, std::string>& command_flags() {
+  static const std::string session =
+      "design= store= recover no-guides snapshot-every= deadline= "
+      "degrade-relax= latency-watermark= max-queue= ";
+  static const std::map<std::string, std::string> table = {
+      {"list-cases", ""},
+      {"suite", "filter= quick json= threads= tiles= timeout= list"},
+      {"generate", "case= out="},
+      {"route", "design= router= solution= svg= no-guides rrr= threads= tiles= "
+                "deadline= max-relax="},
+      {"eval", "design= solution="},
+      {"verify", "design= solution= no-color-check"},
+      {"refine", "design= solution= out="},
+      {"report", "design= solution= flow="},
+      {"session", session + "script= audit out="},
+      {"serve", session + "socket= port= idle-timeout= per-client= max-pending="},
+      {"send", "socket= port= wait= name= script= edit= ping= drain bye"},
+  };
+  return table;
+}
+
+/// Strict --flag/value option parser; argv[0] is the subcommand. An
+/// unknown subcommand, a flag the subcommand does not accept, a value
+/// flag without its value, or a stray positional word sets `error`.
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
   std::map<std::string, bool> flags;
+  std::string error;
 
   static Args parse(const std::vector<std::string>& argv) {
     Args args;
-    if (!argv.empty()) args.command = argv[0];
+    if (argv.empty()) return args.fail("missing subcommand");
+    args.command = argv[0];
+    const auto spec = command_flags().find(args.command);
+    if (spec == command_flags().end())
+      return args.fail("unknown subcommand '" + args.command + "'");
+    const std::string accepted = " " + spec->second + " ";
     for (size_t i = 1; i < argv.size(); ++i) {
-      std::string a = argv[i];
-      if (a.rfind("--", 0) != 0) continue;
-      a = a.substr(2);
-      if (i + 1 < argv.size() && argv[i + 1].rfind("--", 0) != 0) {
-        args.options[a] = argv[++i];
+      const std::string& word = argv[i];
+      if (word.rfind("--", 0) != 0)
+        return args.fail(args.command + ": unexpected argument '" + word + "'");
+      const std::string name = word.substr(2);
+      if (accepted.find(" " + name + "= ") != std::string::npos) {
+        if (i + 1 == argv.size() || argv[i + 1].rfind("--", 0) == 0)
+          return args.fail(args.command + ": " + word + " needs a value");
+        args.options[name] = argv[++i];
+      } else if (!name.empty() && accepted.find(" " + name + " ") != std::string::npos) {
+        args.flags[name] = true;
       } else {
-        args.flags[a] = true;
+        return args.fail(args.command + ": unknown flag '" + word + "'");
       }
     }
     return args;
+  }
+
+  Args& fail(std::string message) {
+    error = std::move(message);
+    return *this;
   }
 
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
@@ -838,34 +880,9 @@ int cmd_send(const Args& args) {
   return worst;
 }
 
-}  // namespace
-
-int run(const std::vector<std::string>& argv) {
-  const Args args = Args::parse(argv);
-  try {
-    if (args.command == "list-cases") return cmd_list_cases();
-    if (args.command == "suite") return cmd_suite(args);
-    if (args.command == "generate") return cmd_generate(args);
-    if (args.command == "route") return cmd_route(args);
-    if (args.command == "eval") return cmd_eval(args);
-    if (args.command == "verify") return cmd_verify(args);
-    if (args.command == "refine") return cmd_refine(args);
-    if (args.command == "report") return cmd_report(args);
-    if (args.command == "session") return cmd_session(args);
-    if (args.command == "serve") return cmd_serve(args);
-    if (args.command == "send") return cmd_send(args);
-  } catch (const io::ParseError& e) {
-    // Malformed input gets its own exit code so scripts (and the fuzzer's
-    // parse-robustness oracle) can tell "bad file" from "router broke".
-    std::fprintf(stderr, "parse error: %s\n", e.what());
-    return 3;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  } catch (...) {
-    std::fprintf(stderr, "error: unknown exception\n");
-    return 1;
-  }
+/// Print `error` (when given) and the usage; returns the usage exit code.
+int usage(const std::string& error = {}) {
+  if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
   std::fprintf(stderr,
                "usage: mrtpl_cli "
                "<list-cases|suite|generate|route|eval|verify|refine|report"
@@ -904,6 +921,38 @@ int run(const std::vector<std::string>& argv) {
                "           Drive a running daemon; exit codes match\n"
                "           `session --script` (a shed edit exits 4).\n");
   return 2;
+}
+
+}  // namespace
+
+int run(const std::vector<std::string>& argv) {
+  const Args args = Args::parse(argv);
+  if (!args.error.empty()) return usage(args.error);
+  try {
+    if (args.command == "list-cases") return cmd_list_cases();
+    if (args.command == "suite") return cmd_suite(args);
+    if (args.command == "generate") return cmd_generate(args);
+    if (args.command == "route") return cmd_route(args);
+    if (args.command == "eval") return cmd_eval(args);
+    if (args.command == "verify") return cmd_verify(args);
+    if (args.command == "refine") return cmd_refine(args);
+    if (args.command == "report") return cmd_report(args);
+    if (args.command == "session") return cmd_session(args);
+    if (args.command == "serve") return cmd_serve(args);
+    if (args.command == "send") return cmd_send(args);
+  } catch (const io::ParseError& e) {
+    // Malformed input gets its own exit code so scripts (and the fuzzer's
+    // parse-robustness oracle) can tell "bad file" from "router broke".
+    std::fprintf(stderr, "parse error: %s\n", e.what());
+    return 3;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  } catch (...) {
+    std::fprintf(stderr, "error: unknown exception\n");
+    return 1;
+  }
+  return usage();
 }
 
 int run(int argc, char** argv) {

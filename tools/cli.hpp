@@ -13,7 +13,8 @@ namespace mrtpl::cli {
 /// program name, e.g. {"route", "--design", "foo.design"}. Output goes to
 /// stdout/stderr exactly as the binary's would. Returns the process exit
 /// code: 0 success, 1 flow-level failure (e.g. conflicts remain, DRC
-/// violations, runtime error), 2 usage error.
+/// violations, runtime error), 2 usage error (an unknown subcommand or
+/// flag, a missing or bad value, a stray positional word).
 int run(const std::vector<std::string>& args);
 
 /// argv-style adapter used by main().
